@@ -148,75 +148,67 @@ impl Regex {
     }
 
     /// Tests whether the regex matches anywhere in `text`.
+    ///
+    /// One pass over the text that seeds a fresh thread at every
+    /// position (only at the start when the program begins with `^`)
+    /// and stops at the first accepting state. Programs of up to
+    /// [`STACK_INSTS`] instructions — every mount-point filter — keep
+    /// their thread lists on the stack, so the call never allocates.
     #[must_use]
     pub fn is_match(&self, text: &str) -> bool {
-        self.find(text).is_some()
+        self.with_threads(|vm| vm.run(text, 0, Scan::AnyMatch).is_some())
     }
 
     /// Finds the leftmost match, preferring the longest match at that
     /// position, and returns its character offsets.
     #[must_use]
     pub fn find(&self, text: &str) -> Option<Match> {
-        let chars: Vec<char> = text.chars().collect();
-        for start in 0..=chars.len() {
-            if let Some(end) = self.run_from(&chars, start) {
-                return Some(Match { start, end });
-            }
-        }
-        None
-    }
-
-    /// Runs the NFA anchored at `start`; returns the longest match end.
-    fn run_from(&self, chars: &[char], start: usize) -> Option<usize> {
-        let n = self.prog.len();
-        let mut current: Vec<usize> = Vec::with_capacity(n);
-        let mut next: Vec<usize> = Vec::with_capacity(n);
-        let mut on_current = vec![false; n];
-        let mut on_next = vec![false; n];
-        let mut best: Option<usize> = None;
-
-        add_thread(
-            &self.prog,
-            0,
-            start,
-            chars.len(),
-            &mut current,
-            &mut on_current,
-        );
-        let mut pos = start;
-        loop {
-            // Record any accepting thread at the current position.
-            if current
-                .iter()
-                .any(|&pc| matches!(self.prog[pc], Inst::Match))
-            {
-                best = Some(pos);
-            }
-            if pos >= chars.len() || current.is_empty() {
-                break;
-            }
-            let c = chars[pos];
-            next.clear();
-            on_next.iter_mut().for_each(|b| *b = false);
-            for &pc in &current {
-                if let Inst::Char(pred) = &self.prog[pc] {
-                    if pred.matches(c) {
-                        add_thread(
-                            &self.prog,
-                            pc + 1,
-                            pos + 1,
-                            chars.len(),
-                            &mut next,
-                            &mut on_next,
-                        );
-                    }
+        self.with_threads(|vm| {
+            // A program that opens with `^` kills every thread started
+            // past offset 0, so only offset 0 can match.
+            let starts = if self.anchored_start() { 1 } else { usize::MAX };
+            let offsets = text.char_indices().map(|(i, _)| i).chain([text.len()]);
+            for (start, from) in offsets.enumerate().take(starts) {
+                if let Some(end) = vm.run(text, from, Scan::Longest) {
+                    let len = text[from..end].chars().count();
+                    return Some(Match {
+                        start,
+                        end: start + len,
+                    });
                 }
             }
-            std::mem::swap(&mut current, &mut next);
-            std::mem::swap(&mut on_current, &mut on_next);
-            pos += 1;
+            None
+        })
+    }
+
+    /// Whether the program begins with `^`.
+    fn anchored_start(&self) -> bool {
+        matches!(self.prog.first(), Some(Inst::AnchorStart))
+    }
+
+    /// Runs `f` with thread lists sized for this program: on the stack
+    /// for small programs, on the heap otherwise.
+    fn with_threads<T>(&self, f: impl FnOnce(&mut Vm<'_>) -> T) -> T {
+        let n = self.prog.len();
+        if n <= STACK_INSTS {
+            let mut pcs = [[0usize; STACK_INSTS]; 2];
+            let mut on = [[false; STACK_INSTS]; 2];
+            let [pcs_a, pcs_b] = &mut pcs;
+            let [on_a, on_b] = &mut on;
+            f(&mut Vm {
+                prog: &self.prog,
+                current: Threads::new(&mut pcs_a[..n], &mut on_a[..n]),
+                next: Threads::new(&mut pcs_b[..n], &mut on_b[..n]),
+            })
+        } else {
+            let (mut pcs_a, mut pcs_b) = (vec![0; n], vec![0; n]);
+            let (mut on_a, mut on_b) = (vec![false; n], vec![false; n]);
+            f(&mut Vm {
+                prog: &self.prog,
+                current: Threads::new(&mut pcs_a, &mut on_a),
+                next: Threads::new(&mut pcs_b, &mut on_b),
+            })
         }
-        best
     }
 }
 
@@ -226,36 +218,122 @@ impl std::fmt::Display for Regex {
     }
 }
 
-/// Adds `pc` and its epsilon closure to the thread list.
-fn add_thread(
-    prog: &[Inst],
-    pc: usize,
-    pos: usize,
+/// Programs up to this many instructions run with stack thread lists.
+const STACK_INSTS: usize = 64;
+
+/// What a VM run looks for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Scan {
+    /// Any match starting at or after the run's offset; stops at the
+    /// first accepting state.
+    AnyMatch,
+    /// The longest match starting exactly at the run's offset.
+    Longest,
+}
+
+/// A thread list: program counters in priority order plus membership.
+struct Threads<'a> {
+    pcs: &'a mut [usize],
     len: usize,
-    list: &mut Vec<usize>,
-    on_list: &mut [bool],
-) {
-    if on_list[pc] {
-        return;
+    on: &'a mut [bool],
+}
+
+impl<'a> Threads<'a> {
+    fn new(pcs: &'a mut [usize], on: &'a mut [bool]) -> Self {
+        Threads { pcs, len: 0, on }
     }
-    on_list[pc] = true;
-    match &prog[pc] {
-        Inst::Jmp(t) => add_thread(prog, *t, pos, len, list, on_list),
-        Inst::Split(a, b) => {
-            add_thread(prog, *a, pos, len, list, on_list);
-            add_thread(prog, *b, pos, len, list, on_list);
+
+    fn clear(&mut self) {
+        // Jmp/Split/anchor pcs are marked but never listed, so every
+        // mark is reset, not just the listed ones.
+        self.on.fill(false);
+        self.len = 0;
+    }
+
+    /// Adds `pc` and its epsilon closure at byte position `pos` of a
+    /// text `len` bytes long.
+    fn add(&mut self, prog: &[Inst], pc: usize, pos: usize, len: usize) {
+        if self.on[pc] {
+            return;
         }
-        Inst::AnchorStart => {
-            if pos == 0 {
-                add_thread(prog, pc + 1, pos, len, list, on_list);
+        self.on[pc] = true;
+        match &prog[pc] {
+            Inst::Jmp(t) => self.add(prog, *t, pos, len),
+            Inst::Split(a, b) => {
+                self.add(prog, *a, pos, len);
+                self.add(prog, *b, pos, len);
+            }
+            Inst::AnchorStart => {
+                if pos == 0 {
+                    self.add(prog, pc + 1, pos, len);
+                }
+            }
+            Inst::AnchorEnd => {
+                if pos == len {
+                    self.add(prog, pc + 1, pos, len);
+                }
+            }
+            Inst::Char(_) | Inst::Match => {
+                self.pcs[self.len] = pc;
+                self.len += 1;
             }
         }
-        Inst::AnchorEnd => {
-            if pos == len {
-                add_thread(prog, pc + 1, pos, len, list, on_list);
+    }
+}
+
+/// A Pike VM: the current and next thread lists of one program.
+struct Vm<'a> {
+    prog: &'a [Inst],
+    current: Threads<'a>,
+    next: Threads<'a>,
+}
+
+impl Vm<'_> {
+    /// Runs the NFA over `text` from byte offset `from`; returns the
+    /// byte offset where the match that `scan` asks for ends.
+    fn run(&mut self, text: &str, from: usize, scan: Scan) -> Option<usize> {
+        let len = text.len();
+        // Unanchored search re-seeds a thread at every position.
+        let reseed = scan == Scan::AnyMatch && !matches!(self.prog[0], Inst::AnchorStart);
+        self.current.clear();
+        self.current.add(self.prog, 0, from, len);
+        let mut best = None;
+        let mut chars = text[from..].chars();
+        let mut pos = from;
+        loop {
+            // Record any accepting thread at the current position.
+            let current = &self.current;
+            if current.pcs[..current.len]
+                .iter()
+                .any(|&pc| matches!(self.prog[pc], Inst::Match))
+            {
+                best = Some(pos);
+                if scan == Scan::AnyMatch {
+                    break;
+                }
             }
+            if self.current.len == 0 && !reseed {
+                break;
+            }
+            let Some(c) = chars.next() else {
+                break;
+            };
+            pos += c.len_utf8();
+            self.next.clear();
+            for i in 0..self.current.len {
+                let pc = self.current.pcs[i];
+                if let Inst::Char(pred) = &self.prog[pc] {
+                    if pred.matches(c) {
+                        self.next.add(self.prog, pc + 1, pos, len);
+                    }
+                }
+            }
+            if reseed {
+                self.next.add(self.prog, 0, pos, len);
+            }
+            std::mem::swap(&mut self.current, &mut self.next);
         }
-        Inst::Char(_) | Inst::Match => list.push(pc),
+        best
     }
 }
 
@@ -597,6 +675,99 @@ fn escape_pred(c: char) -> CharPred {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The engine's original search: collect the text into chars and run
+    /// a fresh VM from every start offset, keeping the longest match at
+    /// the leftmost offset that has one. The oracle for the single-pass
+    /// `is_match` and the anchored short-circuit in `find`.
+    fn reference_find(re: &Regex, text: &str) -> Option<(usize, usize)> {
+        fn add(
+            prog: &[Inst],
+            pc: usize,
+            pos: usize,
+            len: usize,
+            list: &mut Vec<usize>,
+            on: &mut [bool],
+        ) {
+            if on[pc] {
+                return;
+            }
+            on[pc] = true;
+            match &prog[pc] {
+                Inst::Jmp(t) => add(prog, *t, pos, len, list, on),
+                Inst::Split(a, b) => {
+                    add(prog, *a, pos, len, list, on);
+                    add(prog, *b, pos, len, list, on);
+                }
+                Inst::AnchorStart if pos == 0 => add(prog, pc + 1, pos, len, list, on),
+                Inst::AnchorEnd if pos == len => add(prog, pc + 1, pos, len, list, on),
+                Inst::AnchorStart | Inst::AnchorEnd => {}
+                Inst::Char(_) | Inst::Match => list.push(pc),
+            }
+        }
+        let prog = &re.prog;
+        let chars: Vec<char> = text.chars().collect();
+        (0..=chars.len()).find_map(|start| {
+            let mut current = Vec::new();
+            add(
+                prog,
+                0,
+                start,
+                chars.len(),
+                &mut current,
+                &mut vec![false; prog.len()],
+            );
+            let mut best = None;
+            let mut pos = start;
+            loop {
+                if current.iter().any(|&pc| matches!(prog[pc], Inst::Match)) {
+                    best = Some(pos);
+                }
+                if pos >= chars.len() || current.is_empty() {
+                    break;
+                }
+                let mut next = Vec::new();
+                let mut on = vec![false; prog.len()];
+                for &pc in &current {
+                    if let Inst::Char(pred) = &prog[pc] {
+                        if pred.matches(chars[pos]) {
+                            add(prog, pc + 1, pos + 1, chars.len(), &mut next, &mut on);
+                        }
+                    }
+                }
+                current = next;
+                pos += 1;
+            }
+            best.map(|end| (start, end))
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn search_agrees_with_per_offset_reference(
+            pattern in "[ab^$.é/|()*+?]{0,10}",
+            text in "[ab/é]{0,10}",
+        ) {
+            // Random token soup; only the ones that compile are checked.
+            if let Ok(re) = Regex::new(&pattern) {
+                let expected = reference_find(&re, &text);
+                let found = re.find(&text).map(|m| (m.start(), m.end()));
+                prop_assert_eq!(found, expected, "{} on {:?}", pattern, text);
+                prop_assert_eq!(re.is_match(&text), expected.is_some());
+            }
+        }
+
+        #[test]
+        fn large_programs_agree_with_reference(text in "[ab]{0,40}") {
+            // Over STACK_INSTS instructions: the heap thread lists.
+            let re = Regex::new("(a|b){0,20}b+a{3,}$|^ab{30,}").unwrap();
+            assert!(re.prog.len() > STACK_INSTS);
+            let expected = reference_find(&re, &text);
+            prop_assert_eq!(re.find(&text).map(|m| (m.start(), m.end())), expected);
+            prop_assert_eq!(re.is_match(&text), expected.is_some());
+        }
+    }
 
     fn m(pattern: &str, text: &str) -> bool {
         Regex::new(pattern).unwrap().is_match(text)

@@ -463,9 +463,36 @@ impl RowBuilder<'_> {
         self.batch.args.push(packed);
     }
 
+    /// Appends a `Path` (`path`) or `Str` argument whose payload `fill`
+    /// writes straight onto the end of the arena. If `fill` declines,
+    /// no argument is pushed; the bytes it wrote are rolled back with
+    /// the rest of the row when the builder drops uncommitted.
+    pub(crate) fn push_text_arg(
+        &mut self,
+        path: bool,
+        fill: impl FnOnce(&mut String) -> Option<()>,
+    ) -> Option<()> {
+        let start = self.batch.text.len();
+        fill(&mut self.batch.text)?;
+        let len = u32::try_from(self.batch.text.len() - start).expect("batch arena overflow");
+        let start = u32::try_from(start).expect("batch arena overflow");
+        self.batch.args.push(if path {
+            PackedArg::Path { start, len }
+        } else {
+            PackedArg::Str { start, len }
+        });
+        Some(())
+    }
+
     /// Interns the syscall name for the pending row without copying.
     pub(crate) fn intern_name_arc(&mut self, name: &Arc<str>) -> u32 {
         self.batch.intern_name_arc(name)
+    }
+
+    /// Interns the syscall name for the pending row, copying it only the
+    /// first time the batch sees it.
+    pub(crate) fn intern_name(&mut self, name: &str) -> u32 {
+        self.batch.intern_name(name)
     }
 
     /// Seals the row by pushing the head columns.

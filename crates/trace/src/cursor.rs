@@ -11,11 +11,26 @@
 //! numbering, skip accounting, and `max_errors` budgeting exactly where
 //! the checkpointed one stopped, so an interrupted + resumed scan is
 //! indistinguishable from an uninterrupted one.
+//!
+//! The batch readers are drains over this cursor, so every JSONL reader
+//! shares one line loop and one decoder. [`JsonlCursor::next_into`]
+//! first offers each line to the direct decoder, which parses the exact
+//! shape [`write_jsonl`](crate::write_jsonl) emits in place, straight
+//! into [`EventBatch`] columns. A line it declines — whitespace, other
+//! key orders, unknown or duplicate keys, non-canonical numbers, the
+//! BOM-stripped first line, anything malformed — goes through serde, so
+//! serde alone decides what is valid and words every error. The decoder
+//! accepts only lines whose serde result it reproduces exactly, and
+//! [`CursorState`] holds nothing decoder-specific, so events, skips,
+//! errors and the state — and the checkpoint bytes built from it — are
+//! the same whichever decoder took a line.
 
 use std::io::{BufReader, Read};
 
 use serde::{Deserialize, Serialize};
 
+use crate::batch::{EventBatch, EventRef};
+use crate::direct;
 use crate::event::TraceEvent;
 use crate::lossy::{ErrorClass, ErrorPolicy, ReadOptions, SkippedLine};
 use crate::serial::{is_blank, LineReader, TraceIoError};
@@ -78,7 +93,8 @@ impl<R: Read> JsonlCursor<R> {
         self.state
     }
 
-    /// Yields the next event, or `None` at end of stream.
+    /// Yields the next event, or `None` at end of stream. A one-row
+    /// wrapper over [`next_into`](Self::next_into).
     ///
     /// # Errors
     ///
@@ -87,20 +103,45 @@ impl<R: Read> JsonlCursor<R> {
     /// exhausted, and — under [`ErrorPolicy::Abort`] — the strict
     /// reader's per-line errors.
     pub fn next_event(&mut self) -> Result<Option<TraceEvent>, TraceIoError> {
+        let mut batch = EventBatch::new();
+        Ok(self
+            .next_into(&mut batch)?
+            .then(|| batch.get(0).expect("one decoded row").to_event()))
+    }
+
+    /// Decodes the next event straight into a new row of `batch`.
+    /// Returns whether an event was appended; `false` means end of
+    /// stream.
+    ///
+    /// A line in the canonical [`write_jsonl`](crate::write_jsonl)
+    /// shape takes the direct decoder; every other line — including
+    /// the BOM-stripped first line — goes through serde, and serde's
+    /// verdict decides whether it is an event or a skip. Either way the row is identical and so is
+    /// [`state`](Self::state).
+    ///
+    /// # Errors
+    ///
+    /// Same failure model as [`next_event`](Self::next_event).
+    pub fn next_into(&mut self, batch: &mut EventBatch) -> Result<bool, TraceIoError> {
         while let Some(line) = self.lines.next_line()? {
             self.state.byte_offset += line.raw_len();
             self.state.lines = line.number;
             self.state.bom_stripped |= line.bom;
             self.state.crlf_lines += usize::from(line.crlf);
-            if is_blank(&line.bytes) {
+            if is_blank(line.bytes) {
                 continue;
             }
-            let (class, message) = match std::str::from_utf8(&line.bytes) {
+            let (class, message) = match std::str::from_utf8(line.bytes) {
                 Err(e) => (ErrorClass::InvalidUtf8, e.to_string()),
+                Ok(text) if !line.bom && direct::decode_line(text, batch) => {
+                    self.state.events += 1;
+                    return Ok(true);
+                }
                 Ok(text) => match serde_json::from_str::<TraceEvent>(text) {
                     Ok(event) => {
+                        batch.push_event(&event);
                         self.state.events += 1;
-                        return Ok(Some(event));
+                        return Ok(true);
                     }
                     Err(e) => {
                         if self.options.on_error == ErrorPolicy::Abort {
@@ -139,9 +180,29 @@ impl<R: Read> JsonlCursor<R> {
                 }
             }
         }
-        Ok(None)
+        Ok(false)
+    }
+
+    /// Reads the rest of the stream into owned events, decoding through
+    /// batches, and yields them with the final state — what the batch
+    /// readers ([`read_jsonl`](crate::read_jsonl),
+    /// [`read_jsonl_lossy`](crate::read_jsonl_lossy)) return.
+    pub(crate) fn drain(mut self) -> Result<(Vec<TraceEvent>, CursorState), TraceIoError> {
+        let mut events = Vec::new();
+        let mut batch = EventBatch::new();
+        while self.next_into(&mut batch)? {
+            if batch.len() == DRAIN_BATCH {
+                events.extend(batch.iter().map(EventRef::to_event));
+                batch = EventBatch::new();
+            }
+        }
+        events.extend(batch.iter().map(EventRef::to_event));
+        Ok((events, self.state))
     }
 }
+
+/// Rows per batch when [`JsonlCursor::drain`] materializes owned events.
+const DRAIN_BATCH: usize = 4096;
 
 #[cfg(test)]
 mod tests {
@@ -177,6 +238,13 @@ mod tests {
             text.push_str(l);
             text.push('\n');
         }
+        // Valid lines for both decoders: an escaped path the direct
+        // decoder takes, and a spaced-out line it declines to serde.
+        let escaped = TraceEvent::build("open", 2, vec![ArgValue::Path("/mnt/\"q\"\n".into())], 3);
+        text.push_str(&serde_json::to_string(&escaped).unwrap());
+        text.push('\n');
+        text.push_str(&lines[1].replacen(',', " , ", 1));
+        text.push('\n');
         let mut bytes = text.into_bytes();
         bytes.extend_from_slice(b"\xff\xfe torn\n");
         bytes.extend_from_slice(&lines[5].as_bytes()[..lines[5].len() / 2]);
@@ -213,6 +281,15 @@ mod tests {
         let mut full = JsonlCursor::new(&bytes[..], ReadOptions::default());
         let full_events = drain(&mut full);
         let full_state = full.into_state();
+        // Boundaries fall after lines of both decoders.
+        let texts: Vec<&str> = bytes
+            .split(|&b| b == b'\n')
+            .filter_map(|l| std::str::from_utf8(l).ok())
+            .collect();
+        let direct = |l: &str| direct::decode_line(l, &mut EventBatch::new());
+        let serde_only = |l: &str| !direct(l) && serde_json::from_str::<TraceEvent>(l).is_ok();
+        assert!(texts.iter().filter(|l| direct(l)).count() >= 4);
+        assert!(texts.iter().any(|l| serde_only(l)));
 
         for stop_after in 0..=full_events.len() {
             let mut head = JsonlCursor::new(&bytes[..], ReadOptions::default());

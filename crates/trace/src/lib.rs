@@ -41,6 +41,7 @@ pub mod batch;
 pub mod binary;
 pub mod block;
 pub mod cursor;
+mod direct;
 mod event;
 pub mod intern;
 pub mod lossy;

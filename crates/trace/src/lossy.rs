@@ -169,12 +169,8 @@ pub fn read_jsonl_lossy<R: Read>(
     reader: R,
     options: &ReadOptions,
 ) -> Result<LossyRead, TraceIoError> {
-    let mut cursor = JsonlCursor::new(reader, *options);
-    let mut trace = Trace::new();
-    while let Some(event) = cursor.next_event()? {
-        trace.push(event);
-    }
-    Ok(LossyRead::from_cursor(trace, cursor.into_state()))
+    let (events, state) = JsonlCursor::new(reader, *options).drain()?;
+    Ok(LossyRead::from_cursor(Trace::from_events(events), state))
 }
 
 #[cfg(test)]

@@ -22,6 +22,13 @@
 //! in [`ReadOptions`] makes either cursor fail with exactly the strict
 //! batch reader's errors (`read_jsonl` / `read_iotb`), which keeps the
 //! matrix of sources at two cursors instead of four readers.
+//!
+//! Both cursors decode straight into the batch columns. For JSONL that
+//! is [`JsonlCursor::next_into`]: canonical `write_jsonl` lines take a
+//! direct decoder with no `serde::Value` tree and no owned event, and
+//! every line it declines falls back to serde. The resume point
+//! ([`CursorState`], hence the checkpoint bytes) is identical either
+//! way.
 
 use std::fmt;
 use std::fs::File;
@@ -127,14 +134,13 @@ impl<R: Read> JsonlSource<R> {
 
 impl<R: Read> EventSource for JsonlSource<R> {
     fn next_batch(&mut self, max: usize) -> Result<EventBatch, TraceIoError> {
-        // JSONL lines deserialize through serde into an owned event;
-        // it is packed into the batch immediately and dropped, so the
-        // per-event allocations never cross the source boundary.
+        // `next_into` decodes canonical lines straight into the batch
+        // columns; only lines it declines are deserialized through
+        // serde into an owned event, packed, and dropped.
         let mut batch = EventBatch::with_capacity(max.min(1024));
         while batch.len() < max {
-            match self.cursor.next_event()? {
-                Some(event) => batch.push_event(&event),
-                None => break,
+            if !self.cursor.next_into(&mut batch)? {
+                break;
             }
         }
         Ok(batch)

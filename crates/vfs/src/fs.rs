@@ -2,6 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use iocov_codecov::CoverageHandle;
 
@@ -12,22 +13,31 @@ use crate::hooks::{FaultAction, OpCtx, SharedHook};
 use crate::inode::{Gid, Ino, Inode, InodeKind, Uid};
 use crate::process::{Pid, Process};
 
+/// The hasher of every VFS map and set: SipHash, like std's default,
+/// but with fixed keys instead of per-process random ones. Erase-heavy
+/// tables rehash at points that depend on where keys hash, so with
+/// random keys the allocation count of a run moved from process to
+/// process; fixed keys make it repeat exactly. Random keys guard
+/// against keys crafted to collide, and these keys — inode, pid, fd,
+/// uid and device numbers — are issued by the simulation itself.
+pub(crate) type FixedState = BuildHasherDefault<DefaultHasher>;
+
 /// The mutable "on-disk" state: all inodes plus allocation bookkeeping.
 #[derive(Debug, Clone)]
 pub(crate) struct FsTree {
-    pub(crate) inodes: HashMap<Ino, Inode>,
+    pub(crate) inodes: HashMap<Ino, Inode, FixedState>,
     pub(crate) root: Ino,
     next_ino: u64,
     /// Bytes charged against capacity (sum of extent payloads).
     pub(crate) used_bytes: u64,
     /// Per-uid charged bytes, for quota enforcement.
-    pub(crate) uid_usage: HashMap<u32, u64>,
+    pub(crate) uid_usage: HashMap<u32, u64, FixedState>,
 }
 
 impl FsTree {
     fn new(config: &VfsConfig) -> Self {
         let root = Ino(2); // Ext4 convention: root is inode 2
-        let mut inodes = HashMap::new();
+        let mut inodes = HashMap::default();
         let mut root_inode = Inode::new(
             root,
             InodeKind::Dir(Default::default()),
@@ -44,7 +54,7 @@ impl FsTree {
             root,
             next_ino: 3,
             used_bytes: 0,
-            uid_usage: HashMap::new(),
+            uid_usage: HashMap::default(),
         }
     }
 
@@ -81,13 +91,13 @@ impl FsTree {
     /// crash.
     fn gc(&mut self) {
         // First drop dangling entries, then sweep unreachable inodes.
-        let live_inos: HashSet<Ino> = self.inodes.keys().copied().collect();
+        let live_inos: HashSet<Ino, FixedState> = self.inodes.keys().copied().collect();
         for inode in self.inodes.values_mut() {
             if let InodeKind::Dir(entries) = &mut inode.kind {
                 entries.retain(|_, ino| live_inos.contains(ino));
             }
         }
-        let mut reachable = HashSet::new();
+        let mut reachable = HashSet::<Ino, FixedState>::default();
         let mut stack = vec![self.root];
         while let Some(ino) = stack.pop() {
             if !reachable.insert(ino) {
@@ -151,7 +161,7 @@ pub struct Vfs {
     pub(crate) tree: FsTree,
     pub(crate) durable: FsTree,
     pub(crate) config: VfsConfig,
-    pub(crate) processes: HashMap<Pid, Process>,
+    pub(crate) processes: HashMap<Pid, Process, FixedState>,
     pub(crate) read_only: bool,
     pub(crate) clock: u64,
     pub(crate) cov: CoverageHandle,
@@ -159,16 +169,16 @@ pub struct Vfs {
     pub(crate) global_open_files: usize,
     /// Read-side opens per fifo inode (for `ENXIO` on non-blocking
     /// write-only opens).
-    pub(crate) fifo_readers: HashMap<Ino, usize>,
+    pub(crate) fifo_readers: HashMap<Ino, usize, FixedState>,
     /// Open-description refcount per inode; unlinked inodes survive until
     /// the last descriptor closes.
-    pub(crate) open_counts: HashMap<Ino, usize>,
+    pub(crate) open_counts: HashMap<Ino, usize, FixedState>,
     /// Registered device numbers (unregistered devices yield
     /// `ENXIO`/`ENODEV` on open).
-    pub(crate) devices: HashSet<u64>,
+    pub(crate) devices: HashSet<u64, FixedState>,
     /// Block devices currently "claimed" (e.g. mounted) — open for write
     /// yields `EBUSY`.
-    pub(crate) busy_devices: HashSet<Ino>,
+    pub(crate) busy_devices: HashSet<Ino, FixedState>,
     pub(crate) stats: VfsStats,
 }
 
@@ -207,7 +217,7 @@ impl Vfs {
         let tree = FsTree::new(&config);
         let durable = tree.clone();
         let root = tree.root;
-        let mut processes = HashMap::new();
+        let mut processes = HashMap::default();
         processes.insert(Pid(1), Process::new(Pid(1), Uid(0), Gid(0), root));
         Vfs {
             tree,
@@ -219,10 +229,10 @@ impl Vfs {
             cov: CoverageHandle::disabled(),
             hook: None,
             global_open_files: 0,
-            fifo_readers: HashMap::new(),
-            open_counts: HashMap::new(),
-            devices: HashSet::new(),
-            busy_devices: HashSet::new(),
+            fifo_readers: HashMap::default(),
+            open_counts: HashMap::default(),
+            devices: HashSet::default(),
+            busy_devices: HashSet::default(),
             stats: VfsStats::default(),
         }
     }

@@ -4,6 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::flags::OpenFlags;
+use crate::fs::FixedState;
 use crate::inode::{Gid, Ino, Uid};
 
 /// A process id.
@@ -48,7 +49,7 @@ pub struct Process {
     /// files without `O_LARGEFILE` fails `EOVERFLOW`).
     pub compat_32bit: bool,
     /// Open descriptors.
-    pub fds: HashMap<i32, OpenFile>,
+    pub fds: HashMap<i32, OpenFile, FixedState>,
     next_fd: i32,
 }
 
@@ -63,7 +64,7 @@ impl Process {
             cwd,
             umask: 0o022,
             compat_32bit: false,
-            fds: HashMap::new(),
+            fds: HashMap::default(),
             next_fd: 3, // 0-2 are the conventional stdio descriptors
         }
     }
