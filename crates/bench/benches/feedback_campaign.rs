@@ -31,7 +31,10 @@ fn bench_campaign(c: &mut Criterion) {
                     iocov_workloads::profile::xfstests_profile(),
                     quick(42, rounds),
                 );
-                campaign.run(&env, &AnalysisReport::default()).final_tcd
+                campaign
+                    .run(&env, &AnalysisReport::default())
+                    .expect("campaign analysis")
+                    .final_tcd
             });
         });
     }

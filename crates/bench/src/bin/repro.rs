@@ -347,7 +347,9 @@ fn feedback(seed: u64, scale: f64) {
     };
     let env = TestEnv::new().with_config(campaign_config());
     let campaign = FeedbackCampaign::new(iocov_workloads::profile::xfstests_profile(), config);
-    let outcome = campaign.run(&env, &AnalysisReport::default());
+    let outcome = campaign
+        .run(&env, &AnalysisReport::default())
+        .expect("campaign analysis completes");
     println!(
         "{:<7} {:>10} {:>10} {:>8} {:>12} {:>12} {:>13} {:>9}",
         "round",

@@ -1863,7 +1863,9 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
             };
             let env =
                 iocov_workloads::TestEnv::new().with_config(iocov_workloads::campaign_config());
-            let outcome = iocov_workloads::FeedbackCampaign::new(suite, config).run(&env, &initial);
+            let outcome = iocov_workloads::FeedbackCampaign::new(suite, config)
+                .run(&env, &initial)
+                .map_err(|e| CliError(format!("campaign failed: {e}")))?;
             if let Some(path) = log_out {
                 std::fs::write(path, &outcome.log)
                     .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;

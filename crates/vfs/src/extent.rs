@@ -30,14 +30,6 @@ struct Extent {
 }
 
 impl Extent {
-    /// Returns the byte at index `i` within this extent.
-    fn byte_at(&self, i: u64) -> u8 {
-        match &self.data {
-            ExtentData::Bytes { buf, off } => buf[*off + i as usize],
-            ExtentData::Fill(b) => *b,
-        }
-    }
-
     /// Splits off the sub-extent `[from, to)` (relative to this extent).
     fn slice(&self, from: u64, to: u64) -> Extent {
         debug_assert!(from < to && to <= self.len);
@@ -182,37 +174,36 @@ impl ExtentStore {
 
     /// Reads up to `len` bytes at `offset`, clamped to the file size.
     /// Holes read as zeros.
+    ///
+    /// The output starts zeroed (one allocation; large zeroed
+    /// allocations come from the OS untouched), so holes cost nothing.
+    /// One pass over the extent that starts before `offset` (if it
+    /// overlaps in) and the extents starting inside the range copies
+    /// each literal range and fills each non-zero fill run.
     #[must_use]
     pub fn read(&self, offset: u64, len: u64) -> Vec<u8> {
         if offset >= self.size {
             return Vec::new();
         }
-        let end = (offset + len).min(self.size);
-        let total = (end - offset) as usize;
-        let mut out = vec![0u8; total];
-        // Extent starting before `offset` that overlaps in.
-        if let Some((&e_start, extent)) = self.extents.range(..offset).next_back() {
-            let e_end = e_start + extent.len;
-            if e_end > offset {
-                let copy_end = e_end.min(end);
-                for pos in offset..copy_end {
-                    out[(pos - offset) as usize] = extent.byte_at(pos - e_start);
-                }
+        let end = offset.saturating_add(len).min(self.size);
+        let mut out = vec![0u8; (end - offset) as usize];
+        let head = self.extents.range(..offset).next_back();
+        for (&e_start, extent) in head.into_iter().chain(self.extents.range(offset..end)) {
+            let from = e_start.max(offset);
+            let to = (e_start + extent.len).min(end);
+            if to <= from {
+                // The head extent ends before the range starts.
+                continue;
             }
-        }
-        for (&e_start, extent) in self.extents.range(offset..end) {
-            let copy_end = (e_start + extent.len).min(end);
+            let dst = &mut out[(from - offset) as usize..(to - offset) as usize];
             match &extent.data {
                 ExtentData::Bytes { buf, off } => {
-                    let n = (copy_end - e_start) as usize;
-                    let dst = (e_start - offset) as usize;
-                    out[dst..dst + n].copy_from_slice(&buf[*off..*off + n]);
+                    let src = off + (from - e_start) as usize;
+                    dst.copy_from_slice(&buf[src..src + dst.len()]);
                 }
-                ExtentData::Fill(b) => {
-                    for pos in e_start..copy_end {
-                        out[(pos - offset) as usize] = *b;
-                    }
-                }
+                // Zero runs (allocated ranges) are already in place.
+                ExtentData::Fill(0) => {}
+                ExtentData::Fill(b) => dst.fill(*b),
             }
         }
         out
@@ -578,5 +569,85 @@ mod fallocate_tests {
         s.allocate_range(10, 50);
         assert_eq!(s.charged_bytes(), before);
         assert_eq!(s.read(10, 3), [7, 7, 7]);
+    }
+}
+
+#[cfg(test)]
+mod read_prop {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// One mutation of a store; offsets stay small so extents collide.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Write(u64, Vec<u8>),
+        Fill(u64, u8, u64),
+        Punch(u64, u64),
+        Allocate(u64, u64),
+        Truncate(u64),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..300, vec(any::<u8>(), 0..40)).prop_map(|(o, d)| Op::Write(o, d)),
+            (0u64..300, any::<u8>(), 0u64..120).prop_map(|(o, b, n)| Op::Fill(o, b, n)),
+            (0u64..300, 0u64..80).prop_map(|(o, n)| Op::Punch(o, n)),
+            (0u64..300, 0u64..80).prop_map(|(o, n)| Op::Allocate(o, n)),
+            (0u64..400).prop_map(Op::Truncate),
+        ]
+    }
+
+    /// The byte-at-a-time oracle: for each position, the covering
+    /// extent's byte, or zero in a hole.
+    fn oracle_read(store: &ExtentStore, offset: u64, len: u64) -> Vec<u8> {
+        let end = offset.saturating_add(len).min(store.size);
+        (offset..end)
+            .map(|pos| {
+                store
+                    .extents
+                    .range(..=pos)
+                    .next_back()
+                    .filter(|(&s, e)| s + e.len > pos)
+                    .map_or(0, |(&s, e)| match &e.data {
+                        ExtentData::Bytes { buf, off } => buf[off + (pos - s) as usize],
+                        ExtentData::Fill(b) => *b,
+                    })
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn bulk_read_matches_byte_oracle(
+            ops in vec(arb_op(), 0..24),
+            reads in vec((0u64..450, 0u64..200), 1..16),
+        ) {
+            let mut store = ExtentStore::new();
+            for op in ops {
+                match op {
+                    Op::Write(o, d) => store.write(o, &d),
+                    Op::Fill(o, b, n) => store.write_fill(o, b, n),
+                    Op::Punch(o, n) => store.punch_hole(o, n),
+                    Op::Allocate(o, n) => store.allocate_range(o, n),
+                    Op::Truncate(n) => store.truncate(n),
+                }
+            }
+            // Random windows (inside extents, across holes, past EOF),
+            // plus one read starting in the middle of every extent and
+            // one spanning the whole file and beyond.
+            let mut windows = reads;
+            for (&s, e) in &store.extents {
+                windows.push((s + e.len / 2, e.len + 7));
+            }
+            windows.push((0, store.size + 10));
+            for (offset, len) in windows {
+                prop_assert_eq!(
+                    store.read(offset, len),
+                    oracle_read(&store, offset, len),
+                    "read({}, {})", offset, len
+                );
+            }
+        }
     }
 }

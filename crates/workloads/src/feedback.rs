@@ -19,7 +19,19 @@
 //!    remounts, symlink loops),
 //! 4. **analyze** — feed the recorded trace back through the §3
 //!    pipeline, merge into the cumulative report, and re-measure the
-//!    campaign TCD ([`iocov::campaign_tcd`]).
+//!    campaign TCD ([`iocov::campaign_tcd`]). Analysis is the second
+//!    stage of a two-stage round: each round opens one
+//!    [`AnalysisSession`] over a one-worker supervised
+//!    [`PoolExecutor`], and the generator hands the recorder's events to
+//!    it every [`DEFAULT_CHUNK`] events (and once more at the end of the
+//!    round), so filtering and accumulation run on a second core while
+//!    the kernel keeps executing. One session per round keeps relevance
+//!    state (descriptor provenance) from crossing a round boundary,
+//!    exactly like analyzing each round's trace on its own. A worker
+//!    that panics is restarted and replays its batch log, so the round
+//!    report does not change; a worker that exhausts its restart budget
+//!    (`gave_up`) fails the campaign with a [`CampaignError`] instead
+//!    of merging a partial round.
 //!
 //! Rounds stop when the TCD target is reached or the round budget is
 //! exhausted. Campaigns are byte-reproducible per seed: the emitted
@@ -28,14 +40,16 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use iocov::{
-    campaign_tcd, extract_cold, AnalysisReport, ArgName, BaseSyscall, ColdReport, InputPartition,
-    Iocov, NumericPartition, INVALID_CATEGORY, MODE_BITS, WHENCE_VALUES, XATTR_FLAG_BITS,
+    campaign_tcd, extract_cold, AnalysisReport, AnalysisSession, ArgName, BaseSyscall, ColdReport,
+    InputPartition, NumericPartition, PoolExecutor, ShardFailureRecord, ShardHook,
+    SupervisorPolicy, TraceFilter, DEFAULT_CHUNK, INVALID_CATEGORY, MODE_BITS, WHENCE_VALUES,
+    XATTR_FLAG_BITS,
 };
 use iocov_syscalls::precond::{self, FdSpec, Probe, ProbeCall};
 use iocov_syscalls::{Kernel, RawRet};
@@ -147,6 +161,81 @@ impl CampaignOutcome {
     }
 }
 
+/// Why a campaign stopped without an outcome: a round's analysis worker
+/// exhausted its restart budget, so that round's report would be
+/// partial.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CampaignError {
+    /// The round whose analysis failed (0-based).
+    pub round: usize,
+    /// The abandoned worker's supervision record (`gave_up` is set).
+    pub failure: ShardFailureRecord,
+}
+
+impl fmt::Display for CampaignError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "round {} analysis worker {} gave up after {} restarts: {}",
+            self.round, self.failure.shard, self.failure.restarts, self.failure.last_error
+        )
+    }
+}
+
+impl std::error::Error for CampaignError {}
+
+/// The analysis stage of one round: a fresh session over a one-worker
+/// supervised pool, fed from the shared recorder while the round runs.
+struct RoundAnalysis<'e> {
+    env: &'e TestEnv,
+    session: AnalysisSession,
+}
+
+impl<'e> RoundAnalysis<'e> {
+    fn new(env: &'e TestEnv, filter: &TraceFilter, hook: Option<ShardHook>) -> Self {
+        let executor = PoolExecutor::new(
+            filter.clone(),
+            1,
+            None,
+            SupervisorPolicy::default(),
+            hook,
+            None,
+        );
+        RoundAnalysis {
+            env,
+            session: AnalysisSession::new(Box::new(executor), None, None, None, 0),
+        }
+    }
+
+    /// Hands the recorded events to the worker once a full chunk has
+    /// accumulated.
+    fn poll(&mut self) {
+        if self.env.recorder().len() >= DEFAULT_CHUNK {
+            self.drain();
+        }
+    }
+
+    fn drain(&mut self) {
+        let events = self.env.take_trace().into_events();
+        if !events.is_empty() {
+            self.session.feed_owned(events);
+        }
+    }
+
+    /// Feeds the round's last events and waits for the worker: the
+    /// round's event count and report, or the record of a worker that
+    /// gave up.
+    fn finish(mut self) -> Result<(u64, AnalysisReport), ShardFailureRecord> {
+        self.drain();
+        let events = self.session.events();
+        let (report, failures) = self.session.finish();
+        match failures.into_iter().find(|f| f.gave_up) {
+            Some(failure) => Err(failure),
+            None => Ok((events, report)),
+        }
+    }
+}
+
 /// The campaign engine.
 #[derive(Debug, Clone)]
 pub struct FeedbackCampaign {
@@ -164,13 +253,32 @@ impl FeedbackCampaign {
     /// Runs the campaign against kernels minted from `env`, starting
     /// from `initial` coverage (pass a default report to start cold).
     ///
+    /// # Errors
+    ///
+    /// [`CampaignError`] when a round's analysis worker exhausts its
+    /// restart budget.
+    ///
     /// # Panics
     ///
     /// Panics if the canonical mount-point pattern fails to compile
     /// (practically impossible).
-    #[must_use]
-    pub fn run(&self, env: &TestEnv, initial: &AnalysisReport) -> CampaignOutcome {
-        let analyzer = Iocov::with_mount_point(MOUNT).expect("mount pattern compiles");
+    pub fn run(
+        &self,
+        env: &TestEnv,
+        initial: &AnalysisReport,
+    ) -> Result<CampaignOutcome, CampaignError> {
+        self.run_with_hook(env, initial, None)
+    }
+
+    /// [`run`](Self::run) with a progress hook installed in every
+    /// round's analysis worker (fault injection).
+    pub(crate) fn run_with_hook(
+        &self,
+        env: &TestEnv,
+        initial: &AnalysisReport,
+        hook: Option<ShardHook>,
+    ) -> Result<CampaignOutcome, CampaignError> {
+        let filter = TraceFilter::mount_point(MOUNT).expect("mount pattern compiles");
         let target = self.config.target;
         let mut cumulative = initial.clone();
         let mut log = String::new();
@@ -192,11 +300,12 @@ impl FeedbackCampaign {
             );
             let mut rng = StdRng::seed_from_u64(mix(self.config.seed, round as u64));
             let mut kernel = env.fresh_kernel();
+            let mut analysis = RoundAnalysis::new(env, &filter, hook.clone());
             let (probes_staged, probes_hit) =
-                self.run_round(&mut kernel, &mut rng, &cold, &mut log, round);
-            let trace = env.take_trace();
-            let events = trace.len() as u64;
-            let round_report = analyzer.analyze(&trace);
+                self.run_round(&mut kernel, &mut rng, &cold, &mut log, round, &mut analysis);
+            let (events, round_report) = analysis
+                .finish()
+                .map_err(|failure| CampaignError { round, failure })?;
             cumulative.merge(&round_report);
             let tcd_after = campaign_tcd(&cumulative, target);
             rounds.push(RoundStats {
@@ -215,17 +324,18 @@ impl FeedbackCampaign {
                 break;
             }
         }
-        CampaignOutcome {
+        Ok(CampaignOutcome {
             final_tcd: campaign_tcd(&cumulative, target),
             rounds,
             report: cumulative,
             log,
             converged,
-        }
+        })
     }
 
     /// One round: errno probes first (≈30% of the budget), then biased
-    /// generation for the remainder. Returns `(staged, hit)` probe
+    /// generation for the remainder, handing recorded events to
+    /// `analysis` as they accumulate. Returns `(staged, hit)` probe
     /// counters.
     fn run_round(
         &self,
@@ -234,6 +344,7 @@ impl FeedbackCampaign {
         cold: &ColdReport,
         log: &mut String,
         round: usize,
+        analysis: &mut RoundAnalysis<'_>,
     ) -> (usize, usize) {
         let budget = self.config.events_per_round;
         let mut gen = Gen {
@@ -271,12 +382,14 @@ impl FeedbackCampaign {
                 hit += 1;
             }
             precond::unstage(gen.kernel, &probe);
+            analysis.poll();
         }
 
         // --- biased generation ------------------------------------
         let bias = Bias::derive(cold, &self.profile);
         while gen.emitted < budget {
             bias.step(&mut gen, rng, round);
+            analysis.poll();
         }
         // Leftover descriptors are closed (traced), as executors do.
         while let Some((var, fd)) = gen.resources.pop() {
@@ -969,6 +1082,7 @@ mod tests {
     use crate::fuzzer::SyzFuzzerSim;
     use crate::profile::xfstests_profile;
     use iocov::syzlang::parse_to_trace;
+    use iocov::Iocov;
 
     fn quick_config(seed: u64) -> CampaignConfig {
         CampaignConfig {
@@ -984,7 +1098,8 @@ mod tests {
     fn campaign_beats_unguided_fuzzer_at_equal_budget() {
         let env = TestEnv::new().with_config(campaign_config());
         let campaign = FeedbackCampaign::new(xfstests_profile(), quick_config(42))
-            .run(&env, &AnalysisReport::default());
+            .run(&env, &AnalysisReport::default())
+            .unwrap();
         let budget = campaign.total_events();
         assert!(budget > 0);
 
@@ -1012,7 +1127,8 @@ mod tests {
     fn tcd_improves_every_round() {
         let env = TestEnv::new().with_config(campaign_config());
         let outcome = FeedbackCampaign::new(xfstests_profile(), quick_config(7))
-            .run(&env, &AnalysisReport::default());
+            .run(&env, &AnalysisReport::default())
+            .unwrap();
         assert!(!outcome.rounds.is_empty());
         for r in &outcome.rounds {
             assert!(
@@ -1079,6 +1195,7 @@ mod tests {
             let env = TestEnv::new().with_config(campaign_config());
             FeedbackCampaign::new(xfstests_profile(), quick_config(seed))
                 .run(&env, &AnalysisReport::default())
+                .unwrap()
         };
         let (a, b) = (run(5), run(5));
         assert_eq!(a.log, b.log);
@@ -1092,7 +1209,8 @@ mod tests {
     fn campaign_log_parses_and_is_clean() {
         let env = TestEnv::new().with_config(campaign_config());
         let outcome = FeedbackCampaign::new(xfstests_profile(), quick_config(9))
-            .run(&env, &AnalysisReport::default());
+            .run(&env, &AnalysisReport::default())
+            .unwrap();
         for byte in outcome.log.bytes() {
             assert!(
                 byte == b'\n' || !byte.is_ascii_control(),
@@ -1124,7 +1242,8 @@ mod tests {
     fn campaign_reaches_argument_spaces_the_fuzzer_never_touches() {
         let env = TestEnv::new().with_config(campaign_config());
         let outcome = FeedbackCampaign::new(xfstests_profile(), quick_config(11))
-            .run(&env, &AnalysisReport::default());
+            .run(&env, &AnalysisReport::default())
+            .unwrap();
         // pread64/pwrite64 offsets and the xattr argument spaces are
         // invisible to the fuzzer sim; the campaign must exercise them.
         for arg in [
@@ -1154,10 +1273,61 @@ mod tests {
             target: 0,
             ..quick_config(1)
         };
-        let outcome =
-            FeedbackCampaign::new(xfstests_profile(), config).run(&env, &AnalysisReport::default());
+        let outcome = FeedbackCampaign::new(xfstests_profile(), config)
+            .run(&env, &AnalysisReport::default())
+            .unwrap();
         assert!(outcome.converged);
         assert!(outcome.rounds.is_empty());
         assert_eq!(outcome.final_tcd, 0.0);
+    }
+
+    /// Rounds large enough that the recorder is handed to the analysis
+    /// worker several times mid-round (each feed is `DEFAULT_CHUNK`
+    /// events), from a non-empty initial report.
+    fn chunked_campaign(hook: Option<ShardHook>) -> Result<CampaignOutcome, CampaignError> {
+        let fenv = TestEnv::new().with_config(campaign_config());
+        let _ = SyzFuzzerSim::new(3, 40, 12).run(&fenv);
+        let initial = Iocov::with_mount_point(MOUNT)
+            .unwrap()
+            .analyze(&fenv.take_trace());
+        let config = CampaignConfig {
+            seed: 13,
+            max_rounds: 2,
+            events_per_round: 10_000,
+            target: 1000,
+            target_tcd: 0.0,
+        };
+        let env = TestEnv::new().with_config(campaign_config());
+        FeedbackCampaign::new(xfstests_profile(), config).run_with_hook(&env, &initial, hook)
+    }
+
+    #[test]
+    fn restarted_round_worker_leaves_the_outcome_unchanged() {
+        let clean = chunked_campaign(None).unwrap();
+        // One panic at the worker's second batch: the supervisor
+        // restarts it and replays the round's batch log.
+        let schedule = iocov_faults::PanicSchedule::once(0, 1);
+        let faulted = chunked_campaign(Some(schedule.hook())).unwrap();
+        assert_eq!(schedule.remaining(), 0, "the injected panic fired");
+        assert_eq!(faulted.log, clean.log);
+        assert_eq!(faulted.rounds, clean.rounds);
+        assert_eq!(faulted.report, clean.report);
+    }
+
+    #[test]
+    fn exhausted_round_worker_fails_the_campaign() {
+        // One more panic than the default restart budget allows.
+        let budget = SupervisorPolicy::default().max_restarts;
+        let schedule = iocov_faults::PanicSchedule::times(0, 1, budget + 1);
+        let err = chunked_campaign(Some(schedule.hook())).unwrap_err();
+        assert_eq!(err.round, 0);
+        assert!(err.failure.gave_up);
+        assert_eq!(err.failure.restarts, budget);
+        assert!(
+            err.failure.last_error.contains("injected panic"),
+            "{}",
+            err.failure.last_error
+        );
+        assert!(err.to_string().contains("gave up"), "{err}");
     }
 }

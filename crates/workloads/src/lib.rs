@@ -44,7 +44,7 @@ pub use corruption::{corrupt_jsonl, CorruptedTrace};
 pub use crashmonkey::{CrashMonkeySim, GENERIC_CRASH_TESTS, SEQ1_WORKLOADS};
 pub use env::{emit_noise, TestEnv, MOUNT};
 pub use feedback::{
-    campaign_config, CampaignConfig, CampaignOutcome, FeedbackCampaign, RoundStats,
+    campaign_config, CampaignConfig, CampaignError, CampaignOutcome, FeedbackCampaign, RoundStats,
 };
 pub use fuzzer::SyzFuzzerSim;
 pub use ltp::LtpSim;

@@ -3,9 +3,15 @@
 
 use std::sync::Arc;
 
-use iocov::{ArgName, BaseSyscall, InputPartition, Iocov, NumericPartition};
+use iocov::syzlang::parse_to_trace;
+use iocov::{ArgName, BaseSyscall, InputPartition, Iocov, NumericPartition, DEFAULT_CHUNK};
 use iocov_syscalls::Kernel;
 use iocov_trace::{read_jsonl, write_jsonl, Recorder};
+use iocov_workloads::profile::xfstests_profile;
+use iocov_workloads::{
+    campaign_config, CampaignConfig, CampaignOutcome, FeedbackCampaign, SyzFuzzerSim, TestEnv,
+    MOUNT,
+};
 
 /// A small deterministic workload touching several syscall families.
 fn run_workload(kernel: &mut Kernel) {
@@ -181,4 +187,50 @@ fn report_rendering_is_complete() {
         assert!(text.contains("output coverage"), "{base}");
     }
     assert!(iocov::report::untested_summary(&report).contains("untested"));
+}
+
+/// A feedback campaign whose rounds are large enough that each round's
+/// analysis session is fed several `DEFAULT_CHUNK` batches while the
+/// kernel is still executing the round.
+fn chunked_campaign(initial: &iocov::AnalysisReport) -> CampaignOutcome {
+    let config = CampaignConfig {
+        seed: 13,
+        max_rounds: 2,
+        events_per_round: 10_000,
+        target: 1000,
+        target_tcd: 0.0,
+    };
+    let env = TestEnv::new().with_config(campaign_config());
+    FeedbackCampaign::new(xfstests_profile(), config)
+        .run(&env, initial)
+        .expect("campaign analysis completes")
+}
+
+#[test]
+fn feedback_rounds_fed_in_chunks_match_whole_trace_analysis() {
+    // A non-empty initial report, as `generate --feedback` starts from.
+    let fenv = TestEnv::new().with_config(campaign_config());
+    let _ = SyzFuzzerSim::new(3, 40, 12).run(&fenv);
+    let initial = Iocov::with_mount_point(MOUNT)
+        .unwrap()
+        .analyze(&fenv.take_trace());
+
+    let a = chunked_campaign(&initial);
+    let b = chunked_campaign(&initial);
+    assert_eq!(a.rounds.len(), 2);
+    assert!(a.rounds.iter().all(|r| r.events >= 10_000));
+    assert!(a.rounds[0].events > 2 * DEFAULT_CHUNK as u64);
+    assert_eq!(a.log, b.log);
+    assert_eq!(a.rounds, b.rounds);
+    assert_eq!(a.report, b.report);
+
+    // The report equals the initial one merged with the owned
+    // whole-trace analysis of the campaign's own syzlang log.
+    let mut expected = initial;
+    expected.merge(
+        &Iocov::with_mount_point(MOUNT)
+            .unwrap()
+            .analyze(&parse_to_trace(&a.log).unwrap()),
+    );
+    assert_eq!(a.report, expected);
 }
