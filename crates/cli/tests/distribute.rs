@@ -29,6 +29,8 @@ fn run_ok(all: &[&str]) -> Vec<u8> {
     output.stdout
 }
 
+/// A per-process temp file name. Tests in one binary run in parallel
+/// threads of one process, so every test must pass its own `tag`.
 fn temp_path(tag: &str, ext: &str) -> String {
     std::env::temp_dir()
         .join(format!(
@@ -41,8 +43,9 @@ fn temp_path(tag: &str, ext: &str) -> String {
 
 /// A multi-pid trace, so pid-residue sharding spreads events across
 /// every worker (single-pid traces would leave all but one shard
-/// empty and the merge trivially correct).
-fn multi_pid_trace() -> String {
+/// empty and the merge trivially correct). Written to a file named by
+/// the calling test's `tag`, which owns (and deletes) it.
+fn multi_pid_trace(tag: &str) -> String {
     use iocov_trace::{ArgValue, Trace, TraceEvent};
     let mut events = Vec::new();
     for i in 0u64..30 {
@@ -68,7 +71,7 @@ fn multi_pid_trace() -> String {
         ));
     }
     let trace = Trace::from_events(events);
-    let path = temp_path("multi-pid", "jsonl");
+    let path = temp_path(&format!("{tag}-multi-pid"), "jsonl");
     let mut file = std::fs::File::create(&path).unwrap();
     iocov_trace::write_jsonl(&mut file, &trace).unwrap();
     path
@@ -107,7 +110,7 @@ fn convert(input: &str, tag: &str, indexed: bool) -> String {
 
 #[test]
 fn distribute_matches_jobs_byte_for_byte_across_formats_and_counts() {
-    let jsonl = multi_pid_trace();
+    let jsonl = multi_pid_trace("formats");
     let v1 = convert(&jsonl, "formats-v1", false);
     let v2 = convert(&jsonl, "formats-v2", true);
     for path in [&jsonl, &v1, &v2] {
@@ -159,7 +162,7 @@ fn distribute_with_mount_filter_matches_jobs() {
 
 #[test]
 fn every_fault_schedule_within_budget_recovers_byte_identical() {
-    let jsonl = multi_pid_trace();
+    let jsonl = multi_pid_trace("faults");
     let v2 = convert(&jsonl, "faults-v2", true);
     for path in [&jsonl, &v2] {
         let baseline = run_ok(&["analyze", path, "--json", "--jobs", "2"]);
@@ -196,7 +199,7 @@ fn every_fault_schedule_within_budget_recovers_byte_identical() {
 
 #[test]
 fn exhausted_restart_budget_degrades_to_partial_report_with_exit_zero() {
-    let trace = multi_pid_trace();
+    let trace = multi_pid_trace("exhausted");
     let output = Command::new(bin())
         .args([
             "analyze",
@@ -229,7 +232,7 @@ fn exhausted_restart_budget_degrades_to_partial_report_with_exit_zero() {
 
 #[test]
 fn recovered_fault_is_reported_as_a_warning_not_a_failure() {
-    let trace = multi_pid_trace();
+    let trace = multi_pid_trace("recovered");
     let text = String::from_utf8(run_ok(&[
         "analyze",
         &trace,

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use iocov_trace::{ArgValue, Recorder, TraceEvent};
+use iocov_trace::{ArgView, Recorder};
 use iocov_vfs::{
     Errno, FaultAction, Mode, OpCtx, OpenFlags, Pid, ResolveFlags, Vfs, Whence, WriteSource,
     XattrFlags, XattrValue,
@@ -18,8 +18,8 @@ pub type RawRet = i64;
 ///
 /// Every method mirrors one Linux syscall prototype, marshals the raw
 /// argument words, executes the operation on the VFS, applies any
-/// return-value-override faults (exit-path "output bugs"), and emits a
-/// [`TraceEvent`] when a recorder is attached — the in-process equivalent
+/// return-value-override faults (exit-path "output bugs"), and records
+/// one event row when a recorder is attached — the in-process equivalent
 /// of LTTng's `syscall_entry`/`syscall_exit` tracepoints.
 ///
 /// # Examples
@@ -123,21 +123,16 @@ impl Kernel {
         self.current = pid;
     }
 
-    fn trace(&self, sysno: Sysno, args: Vec<ArgValue>, retval: RawRet) {
-        if let Some(rec) = &self.recorder {
-            let mut event = TraceEvent::build(sysno.name(), sysno.number(), args, retval);
-            event.pid = self.current.0;
-            rec.record(event);
-        }
+    fn trace(&self, sysno: Sysno, args: &[ArgView<'_>], retval: RawRet) {
+        self.trace_aux(sysno.name(), sysno.number(), args, retval);
     }
 
     /// Emits an event for a syscall outside the 27 modelled ones
-    /// (tester-internal noise, fsync, unlink, …).
-    fn trace_aux(&self, name: &str, number: u32, args: Vec<ArgValue>, retval: RawRet) {
+    /// (tester-internal noise, fsync, unlink, …). The arguments are
+    /// borrowed views, copied straight into the recorder's columns.
+    fn trace_aux(&self, name: &str, number: u32, args: &[ArgView<'_>], retval: RawRet) {
         if let Some(rec) = &self.recorder {
-            let mut event = TraceEvent::build(name, number, args, retval);
-            event.pid = self.current.0;
-            rec.record(event);
+            rec.record_view(self.current.0, name, number, args, retval);
         }
     }
 
@@ -192,10 +187,10 @@ impl Kernel {
         let ret = self.override_ret("open", Some(path), raw(result));
         self.trace(
             Sysno::Open,
-            vec![
-                ArgValue::Path(path.to_owned()),
-                ArgValue::Flags(flags),
-                ArgValue::Mode(mode),
+            &[
+                ArgView::Path(path),
+                ArgView::Flags(flags),
+                ArgView::Mode(mode),
             ],
             ret,
         );
@@ -207,11 +202,7 @@ impl Kernel {
         let ret = Errno::EFAULT.as_retval();
         self.trace(
             Sysno::Open,
-            vec![
-                ArgValue::Ptr(0),
-                ArgValue::Flags(flags),
-                ArgValue::Mode(mode),
-            ],
+            &[ArgView::Ptr(0), ArgView::Flags(flags), ArgView::Mode(mode)],
             ret,
         );
         ret
@@ -233,11 +224,11 @@ impl Kernel {
         let ret = self.override_ret("openat", Some(path), raw(result));
         self.trace(
             Sysno::Openat,
-            vec![
-                ArgValue::Fd(dirfd),
-                ArgValue::Path(path.to_owned()),
-                ArgValue::Flags(flags),
-                ArgValue::Mode(mode),
+            &[
+                ArgView::Fd(dirfd),
+                ArgView::Path(path),
+                ArgView::Flags(flags),
+                ArgView::Mode(mode),
             ],
             ret,
         );
@@ -254,7 +245,7 @@ impl Kernel {
         let ret = self.override_ret("creat", Some(path), raw(result));
         self.trace(
             Sysno::Creat,
-            vec![ArgValue::Path(path.to_owned()), ArgValue::Mode(mode)],
+            &[ArgView::Path(path), ArgView::Mode(mode)],
             ret,
         );
         ret
@@ -284,12 +275,12 @@ impl Kernel {
         let ret = self.override_ret("openat2", Some(path), raw(result));
         self.trace(
             Sysno::Openat2,
-            vec![
-                ArgValue::Fd(dirfd),
-                ArgValue::Path(path.to_owned()),
-                ArgValue::Flags(flags),
-                ArgValue::Mode(mode),
-                ArgValue::Flags(resolve),
+            &[
+                ArgView::Fd(dirfd),
+                ArgView::Path(path),
+                ArgView::Flags(flags),
+                ArgView::Mode(mode),
+                ArgView::Flags(resolve),
             ],
             ret,
         );
@@ -301,7 +292,7 @@ impl Kernel {
         let pid = self.current;
         let result = self.vfs.close(pid, fd).map(|()| 0i64);
         let ret = self.override_ret("close", None, raw(result));
-        self.trace(Sysno::Close, vec![ArgValue::Fd(fd)], ret);
+        self.trace(Sysno::Close, &[ArgView::Fd(fd)], ret);
         ret
     }
 
@@ -320,7 +311,7 @@ impl Kernel {
         let ret = self.override_ret_sized("read", None, Some(count), raw(result));
         self.trace(
             Sysno::Read,
-            vec![ArgValue::Fd(fd), ArgValue::Ptr(1), ArgValue::UInt(count)],
+            &[ArgView::Fd(fd), ArgView::Ptr(1), ArgView::UInt(count)],
             ret,
         );
         ret
@@ -330,11 +321,11 @@ impl Kernel {
     /// requested `count` may exceed practical buffer sizes).
     pub fn read_discard(&mut self, fd: i32, count: u64) -> RawRet {
         let pid = self.current;
-        let result = self.vfs.read(pid, fd, count).map(|data| data.len() as i64);
+        let result = self.vfs.read_len(pid, fd, count).map(|n| n as i64);
         let ret = self.override_ret_sized("read", None, Some(count), raw(result));
         self.trace(
             Sysno::Read,
-            vec![ArgValue::Fd(fd), ArgValue::Ptr(1), ArgValue::UInt(count)],
+            &[ArgView::Fd(fd), ArgView::Ptr(1), ArgView::UInt(count)],
             ret,
         );
         ret
@@ -349,7 +340,7 @@ impl Kernel {
         };
         self.trace(
             Sysno::Read,
-            vec![ArgValue::Fd(fd), ArgValue::Ptr(0), ArgValue::UInt(count)],
+            &[ArgView::Fd(fd), ArgView::Ptr(0), ArgView::UInt(count)],
             ret,
         );
         ret
@@ -358,18 +349,15 @@ impl Kernel {
     /// `pread64(2)`.
     pub fn pread64(&mut self, fd: i32, count: u64, offset: i64) -> RawRet {
         let pid = self.current;
-        let result = self
-            .vfs
-            .pread(pid, fd, count, offset)
-            .map(|d| d.len() as i64);
+        let result = self.vfs.pread_len(pid, fd, count, offset).map(|n| n as i64);
         let ret = self.override_ret_sized("pread64", None, Some(count), raw(result));
         self.trace(
             Sysno::Pread64,
-            vec![
-                ArgValue::Fd(fd),
-                ArgValue::Ptr(1),
-                ArgValue::UInt(count),
-                ArgValue::Int(offset),
+            &[
+                ArgView::Fd(fd),
+                ArgView::Ptr(1),
+                ArgView::UInt(count),
+                ArgView::Int(offset),
             ],
             ret,
         );
@@ -385,7 +373,7 @@ impl Kernel {
         let ret = self.override_ret_sized("readv", None, Some(total), raw(result));
         self.trace(
             Sysno::Readv,
-            vec![ArgValue::Fd(fd), ArgValue::Ptr(1), ArgValue::UInt(total)],
+            &[ArgView::Fd(fd), ArgView::Ptr(1), ArgView::UInt(total)],
             ret,
         );
         ret
@@ -403,7 +391,7 @@ impl Kernel {
         let ret = self.override_ret_sized("write", None, Some(count), raw(result));
         self.trace(
             Sysno::Write,
-            vec![ArgValue::Fd(fd), ArgValue::Ptr(1), ArgValue::UInt(count)],
+            &[ArgView::Fd(fd), ArgView::Ptr(1), ArgView::UInt(count)],
             ret,
         );
         ret
@@ -420,7 +408,7 @@ impl Kernel {
         let ret = self.override_ret_sized("write", None, Some(len), raw(result));
         self.trace(
             Sysno::Write,
-            vec![ArgValue::Fd(fd), ArgValue::Ptr(1), ArgValue::UInt(len)],
+            &[ArgView::Fd(fd), ArgView::Ptr(1), ArgView::UInt(len)],
             ret,
         );
         ret
@@ -435,7 +423,7 @@ impl Kernel {
         };
         self.trace(
             Sysno::Write,
-            vec![ArgValue::Fd(fd), ArgValue::Ptr(0), ArgValue::UInt(count)],
+            &[ArgView::Fd(fd), ArgView::Ptr(0), ArgView::UInt(count)],
             ret,
         );
         ret
@@ -452,11 +440,11 @@ impl Kernel {
         let ret = self.override_ret_sized("pwrite64", None, Some(count), raw(result));
         self.trace(
             Sysno::Pwrite64,
-            vec![
-                ArgValue::Fd(fd),
-                ArgValue::Ptr(1),
-                ArgValue::UInt(count),
-                ArgValue::Int(offset),
+            &[
+                ArgView::Fd(fd),
+                ArgView::Ptr(1),
+                ArgView::UInt(count),
+                ArgView::Int(offset),
             ],
             ret,
         );
@@ -473,11 +461,11 @@ impl Kernel {
         let ret = self.override_ret_sized("pwrite64", None, Some(len), raw(result));
         self.trace(
             Sysno::Pwrite64,
-            vec![
-                ArgValue::Fd(fd),
-                ArgValue::Ptr(1),
-                ArgValue::UInt(len),
-                ArgValue::Int(offset),
+            &[
+                ArgView::Fd(fd),
+                ArgView::Ptr(1),
+                ArgView::UInt(len),
+                ArgView::Int(offset),
             ],
             ret,
         );
@@ -492,7 +480,7 @@ impl Kernel {
         let ret = self.override_ret_sized("writev", None, Some(total), raw(result));
         self.trace(
             Sysno::Writev,
-            vec![ArgValue::Fd(fd), ArgValue::Ptr(1), ArgValue::UInt(total)],
+            &[ArgView::Fd(fd), ArgView::Ptr(1), ArgView::UInt(total)],
             ret,
         );
         ret
@@ -513,10 +501,10 @@ impl Kernel {
         let ret = self.override_ret("lseek", None, raw(result));
         self.trace(
             Sysno::Lseek,
-            vec![
-                ArgValue::Fd(fd),
-                ArgValue::Int(offset),
-                ArgValue::Whence(whence),
+            &[
+                ArgView::Fd(fd),
+                ArgView::Int(offset),
+                ArgView::Whence(whence),
             ],
             ret,
         );
@@ -535,7 +523,7 @@ impl Kernel {
         );
         self.trace(
             Sysno::Truncate,
-            vec![ArgValue::Path(path.to_owned()), ArgValue::Int(length)],
+            &[ArgView::Path(path), ArgView::Int(length)],
             ret,
         );
         ret
@@ -549,7 +537,7 @@ impl Kernel {
             self.override_ret_sized("ftruncate", None, Some(length.max(0) as u64), raw(result));
         self.trace(
             Sysno::Ftruncate,
-            vec![ArgValue::Fd(fd), ArgValue::Int(length)],
+            &[ArgView::Fd(fd), ArgView::Int(length)],
             ret,
         );
         ret
@@ -569,7 +557,7 @@ impl Kernel {
         let ret = self.override_ret("mkdir", Some(path), raw(result));
         self.trace(
             Sysno::Mkdir,
-            vec![ArgValue::Path(path.to_owned()), ArgValue::Mode(mode)],
+            &[ArgView::Path(path), ArgView::Mode(mode)],
             ret,
         );
         ret
@@ -585,11 +573,7 @@ impl Kernel {
         let ret = self.override_ret("mkdirat", Some(path), raw(result));
         self.trace(
             Sysno::Mkdirat,
-            vec![
-                ArgValue::Fd(dirfd),
-                ArgValue::Path(path.to_owned()),
-                ArgValue::Mode(mode),
-            ],
+            &[ArgView::Fd(dirfd), ArgView::Path(path), ArgView::Mode(mode)],
             ret,
         );
         ret
@@ -600,7 +584,7 @@ impl Kernel {
         let pid = self.current;
         let result = self.vfs.chdir(pid, path).map(|()| 0i64);
         let ret = self.override_ret("chdir", Some(path), raw(result));
-        self.trace(Sysno::Chdir, vec![ArgValue::Path(path.to_owned())], ret);
+        self.trace(Sysno::Chdir, &[ArgView::Path(path)], ret);
         ret
     }
 
@@ -609,7 +593,7 @@ impl Kernel {
         let pid = self.current;
         let result = self.vfs.fchdir(pid, fd).map(|()| 0i64);
         let ret = self.override_ret("fchdir", None, raw(result));
-        self.trace(Sysno::Fchdir, vec![ArgValue::Fd(fd)], ret);
+        self.trace(Sysno::Fchdir, &[ArgView::Fd(fd)], ret);
         ret
     }
 
@@ -623,7 +607,7 @@ impl Kernel {
         let ret = self.override_ret("chmod", Some(path), raw(result));
         self.trace(
             Sysno::Chmod,
-            vec![ArgValue::Path(path.to_owned()), ArgValue::Mode(mode)],
+            &[ArgView::Path(path), ArgView::Mode(mode)],
             ret,
         );
         ret
@@ -637,11 +621,7 @@ impl Kernel {
             .fchmod(pid, fd, Mode::from_bits(mode))
             .map(|()| 0i64);
         let ret = self.override_ret("fchmod", None, raw(result));
-        self.trace(
-            Sysno::Fchmod,
-            vec![ArgValue::Fd(fd), ArgValue::Mode(mode)],
-            ret,
-        );
+        self.trace(Sysno::Fchmod, &[ArgView::Fd(fd), ArgView::Mode(mode)], ret);
         ret
     }
 
@@ -655,11 +635,11 @@ impl Kernel {
         let ret = self.override_ret("fchmodat", Some(path), raw(result));
         self.trace(
             Sysno::Fchmodat,
-            vec![
-                ArgValue::Fd(dirfd),
-                ArgValue::Path(path.to_owned()),
-                ArgValue::Mode(mode),
-                ArgValue::Flags(at_flags),
+            &[
+                ArgView::Fd(dirfd),
+                ArgView::Path(path),
+                ArgView::Mode(mode),
+                ArgView::Flags(at_flags),
             ],
             ret,
         );
@@ -680,12 +660,12 @@ impl Kernel {
         let ret = self.override_ret("setxattr", Some(path), raw(result));
         self.trace(
             Sysno::Setxattr,
-            vec![
-                ArgValue::Path(path.to_owned()),
-                ArgValue::Str(name.to_owned()),
-                ArgValue::Ptr(1),
-                ArgValue::UInt(value.len() as u64),
-                ArgValue::Flags(flags),
+            &[
+                ArgView::Path(path),
+                ArgView::Str(name),
+                ArgView::Ptr(1),
+                ArgView::UInt(value.len() as u64),
+                ArgView::Flags(flags),
             ],
             ret,
         );
@@ -702,12 +682,12 @@ impl Kernel {
         let ret = self.override_ret("lsetxattr", Some(path), raw(result));
         self.trace(
             Sysno::Lsetxattr,
-            vec![
-                ArgValue::Path(path.to_owned()),
-                ArgValue::Str(name.to_owned()),
-                ArgValue::Ptr(1),
-                ArgValue::UInt(value.len() as u64),
-                ArgValue::Flags(flags),
+            &[
+                ArgView::Path(path),
+                ArgView::Str(name),
+                ArgView::Ptr(1),
+                ArgView::UInt(value.len() as u64),
+                ArgView::Flags(flags),
             ],
             ret,
         );
@@ -724,12 +704,12 @@ impl Kernel {
         let ret = self.override_ret("fsetxattr", None, raw(result));
         self.trace(
             Sysno::Fsetxattr,
-            vec![
-                ArgValue::Fd(fd),
-                ArgValue::Str(name.to_owned()),
-                ArgValue::Ptr(1),
-                ArgValue::UInt(value.len() as u64),
-                ArgValue::Flags(flags),
+            &[
+                ArgView::Fd(fd),
+                ArgView::Str(name),
+                ArgView::Ptr(1),
+                ArgView::UInt(value.len() as u64),
+                ArgView::Flags(flags),
             ],
             ret,
         );
@@ -747,11 +727,11 @@ impl Kernel {
         let ret = self.override_ret("getxattr", Some(path), raw(result));
         self.trace(
             Sysno::Getxattr,
-            vec![
-                ArgValue::Path(path.to_owned()),
-                ArgValue::Str(name.to_owned()),
-                ArgValue::Ptr(1),
-                ArgValue::UInt(size),
+            &[
+                ArgView::Path(path),
+                ArgView::Str(name),
+                ArgView::Ptr(1),
+                ArgView::UInt(size),
             ],
             ret,
         );
@@ -768,11 +748,11 @@ impl Kernel {
         let ret = self.override_ret("lgetxattr", Some(path), raw(result));
         self.trace(
             Sysno::Lgetxattr,
-            vec![
-                ArgValue::Path(path.to_owned()),
-                ArgValue::Str(name.to_owned()),
-                ArgValue::Ptr(1),
-                ArgValue::UInt(size),
+            &[
+                ArgView::Path(path),
+                ArgView::Str(name),
+                ArgView::Ptr(1),
+                ArgView::UInt(size),
             ],
             ret,
         );
@@ -789,11 +769,11 @@ impl Kernel {
         let ret = self.override_ret("fgetxattr", None, raw(result));
         self.trace(
             Sysno::Fgetxattr,
-            vec![
-                ArgValue::Fd(fd),
-                ArgValue::Str(name.to_owned()),
-                ArgValue::Ptr(1),
-                ArgValue::UInt(size),
+            &[
+                ArgView::Fd(fd),
+                ArgView::Str(name),
+                ArgView::Ptr(1),
+                ArgView::UInt(size),
             ],
             ret,
         );
@@ -808,7 +788,7 @@ impl Kernel {
     pub fn unlink(&mut self, path: &str) -> RawRet {
         let pid = self.current;
         let ret = raw(self.vfs.unlink(pid, path).map(|()| 0i64));
-        self.trace_aux("unlink", 87, vec![ArgValue::Path(path.to_owned())], ret);
+        self.trace_aux("unlink", 87, &[ArgView::Path(path)], ret);
         ret
     }
 
@@ -816,7 +796,7 @@ impl Kernel {
     pub fn rmdir(&mut self, path: &str) -> RawRet {
         let pid = self.current;
         let ret = raw(self.vfs.rmdir(pid, path).map(|()| 0i64));
-        self.trace_aux("rmdir", 84, vec![ArgValue::Path(path.to_owned())], ret);
+        self.trace_aux("rmdir", 84, &[ArgView::Path(path)], ret);
         ret
     }
 
@@ -824,15 +804,7 @@ impl Kernel {
     pub fn rename(&mut self, old: &str, new: &str) -> RawRet {
         let pid = self.current;
         let ret = raw(self.vfs.rename(pid, old, new).map(|()| 0i64));
-        self.trace_aux(
-            "rename",
-            82,
-            vec![
-                ArgValue::Path(old.to_owned()),
-                ArgValue::Path(new.to_owned()),
-            ],
-            ret,
-        );
+        self.trace_aux("rename", 82, &[ArgView::Path(old), ArgView::Path(new)], ret);
         ret
     }
 
@@ -843,10 +815,7 @@ impl Kernel {
         self.trace_aux(
             "link",
             86,
-            vec![
-                ArgValue::Path(existing.to_owned()),
-                ArgValue::Path(new.to_owned()),
-            ],
+            &[ArgView::Path(existing), ArgView::Path(new)],
             ret,
         );
         ret
@@ -859,10 +828,7 @@ impl Kernel {
         self.trace_aux(
             "symlink",
             88,
-            vec![
-                ArgValue::Str(target.to_owned()),
-                ArgValue::Path(link_path.to_owned()),
-            ],
+            &[ArgView::Str(target), ArgView::Path(link_path)],
             ret,
         );
         ret
@@ -872,7 +838,7 @@ impl Kernel {
     pub fn fsync(&mut self, fd: i32) -> RawRet {
         let pid = self.current;
         let ret = raw(self.vfs.fsync(pid, fd).map(|()| 0i64));
-        self.trace_aux("fsync", 74, vec![ArgValue::Fd(fd)], ret);
+        self.trace_aux("fsync", 74, &[ArgView::Fd(fd)], ret);
         ret
     }
 
@@ -880,14 +846,14 @@ impl Kernel {
     pub fn fdatasync(&mut self, fd: i32) -> RawRet {
         let pid = self.current;
         let ret = raw(self.vfs.fdatasync(pid, fd).map(|()| 0i64));
-        self.trace_aux("fdatasync", 75, vec![ArgValue::Fd(fd)], ret);
+        self.trace_aux("fdatasync", 75, &[ArgView::Fd(fd)], ret);
         ret
     }
 
     /// `sync(2)`.
     pub fn sync(&mut self) -> RawRet {
         self.vfs.sync();
-        self.trace_aux("sync", 162, vec![], 0);
+        self.trace_aux("sync", 162, &[], 0);
         0
     }
 
@@ -901,11 +867,11 @@ impl Kernel {
         self.trace_aux(
             "fallocate",
             285,
-            vec![
-                ArgValue::Fd(fd),
-                ArgValue::Flags(mode),
-                ArgValue::Int(offset),
-                ArgValue::Int(length),
+            &[
+                ArgView::Fd(fd),
+                ArgView::Flags(mode),
+                ArgView::Int(offset),
+                ArgView::Int(length),
             ],
             ret,
         );
@@ -919,10 +885,10 @@ impl Kernel {
         self.trace_aux(
             "renameat2",
             316,
-            vec![
-                ArgValue::Path(old.to_owned()),
-                ArgValue::Path(new.to_owned()),
-                ArgValue::Flags(flags),
+            &[
+                ArgView::Path(old),
+                ArgView::Path(new),
+                ArgView::Flags(flags),
             ],
             ret,
         );
@@ -933,12 +899,7 @@ impl Kernel {
     pub fn stat(&mut self, path: &str) -> RawRet {
         let pid = self.current;
         let ret = raw(self.vfs.stat(pid, path).map(|_| 0i64));
-        self.trace_aux(
-            "stat",
-            4,
-            vec![ArgValue::Path(path.to_owned()), ArgValue::Ptr(1)],
-            ret,
-        );
+        self.trace_aux("stat", 4, &[ArgView::Path(path), ArgView::Ptr(1)], ret);
         ret
     }
 }
@@ -946,6 +907,7 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iocov_trace::ArgValue;
 
     fn kernel_with_recorder() -> (Kernel, Arc<Recorder>) {
         let recorder = Arc::new(Recorder::new());

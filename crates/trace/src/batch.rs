@@ -283,6 +283,84 @@ impl EventBatch {
         );
     }
 
+    /// Appends one row from borrowed parts, copying the name (first
+    /// sighting only) and any path/str payloads into the batch. This is
+    /// how a [`Recorder`](crate::Recorder) records a call without ever
+    /// building an owned [`TraceEvent`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn push_row(
+        &mut self,
+        seq: u64,
+        timestamp_ns: u64,
+        pid: u32,
+        name: &str,
+        sysno: u32,
+        args: &[ArgView<'_>],
+        retval: i64,
+    ) {
+        let name_id = self.intern_name(name);
+        let start = u32::try_from(self.args.len()).expect("batch args overflow");
+        for &arg in args {
+            let packed = self.pack_arg(arg);
+            self.args.push(packed);
+        }
+        let len = u32::try_from(args.len()).expect("batch args overflow");
+        self.push_head(seq, timestamp_ns, pid, name_id, sysno, retval, (start, len));
+    }
+
+    /// Removes every row, keeping the column capacity and the name table
+    /// for reuse.
+    pub(crate) fn clear(&mut self) {
+        self.seq.clear();
+        self.timestamp_ns.clear();
+        self.pid.clear();
+        self.sysno.clear();
+        self.retval.clear();
+        self.name_id.clear();
+        self.arg_range.clear();
+        self.args.clear();
+        self.text.clear();
+    }
+
+    /// Removes the oldest `rows` rows, shifting the survivors (and their
+    /// arguments and arena bytes) to the front and re-basing their
+    /// ranges. Arena bytes are laid out in argument order, so everything
+    /// before the first surviving payload belongs to removed rows.
+    pub(crate) fn drop_front(&mut self, rows: usize) {
+        if rows >= self.len() {
+            self.clear();
+            return;
+        }
+        if rows == 0 {
+            return;
+        }
+        let arg_cut = self.arg_range[rows].0;
+        let text_cut = self.args[arg_cut as usize..]
+            .iter()
+            .find_map(|a| match *a {
+                PackedArg::Path { start, .. } | PackedArg::Str { start, .. } => Some(start),
+                _ => None,
+            })
+            .unwrap_or(u32::try_from(self.text.len()).expect("batch arena overflow"));
+        self.seq.drain(..rows);
+        self.timestamp_ns.drain(..rows);
+        self.pid.drain(..rows);
+        self.sysno.drain(..rows);
+        self.retval.drain(..rows);
+        self.name_id.drain(..rows);
+        self.arg_range.drain(..rows);
+        for range in &mut self.arg_range {
+            range.0 -= arg_cut;
+        }
+        self.args.drain(..arg_cut as usize);
+        for arg in &mut self.args {
+            if let PackedArg::Path { start, .. } | PackedArg::Str { start, .. } = arg {
+                *start -= text_cut;
+            }
+        }
+        self.text.drain(..text_cut as usize);
+    }
+
     fn pack_arg(&mut self, arg: ArgView<'_>) -> PackedArg {
         match arg {
             ArgView::Int(v) => PackedArg::Int(v),
@@ -698,6 +776,52 @@ mod tests {
         let mut copied = dst.to_events();
         copied.reverse();
         assert_eq!(copied, events);
+    }
+
+    #[test]
+    fn push_row_matches_push_event() {
+        let events = sample_events();
+        let mut batch = EventBatch::new();
+        for e in &events {
+            let args: Vec<ArgView<'_>> = e.args.iter().map(ArgView::of).collect();
+            batch.push_row(
+                e.seq,
+                e.timestamp_ns,
+                e.pid,
+                &e.name,
+                e.sysno,
+                &args,
+                e.retval,
+            );
+        }
+        assert_eq!(batch.to_events(), events);
+        batch.clear();
+        assert!(batch.is_empty());
+        assert!(batch.text.is_empty() && batch.args.is_empty());
+    }
+
+    #[test]
+    fn drop_front_keeps_the_newest_rows() {
+        let events = sample_events();
+        for rows in 0..=events.len() + 1 {
+            let mut batch = EventBatch::from_events(&events);
+            batch.drop_front(rows);
+            let kept = &events[rows.min(events.len())..];
+            assert_eq!(batch.to_events(), kept, "dropping {rows}");
+            // Nothing of the dropped rows survives in the arena.
+            let payload: usize = kept
+                .iter()
+                .flat_map(|e| &e.args)
+                .map(|a| match a {
+                    ArgValue::Path(s) | ArgValue::Str(s) => s.len(),
+                    _ => 0,
+                })
+                .sum();
+            assert_eq!(batch.text.len(), payload);
+            // Survivors append correctly after compaction.
+            batch.push_event(&events[0]);
+            assert_eq!(batch.get(batch.len() - 1).unwrap().to_event(), events[0]);
+        }
     }
 
     #[test]

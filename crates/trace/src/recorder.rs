@@ -1,10 +1,26 @@
 //! The trace recorder: thread-safe event sink with optional ring buffering.
+//!
+//! Events are born columnar: the recorder's one buffer is an
+//! [`EventBatch`], and [`Recorder::record_view`] appends a row straight
+//! from borrowed parts (the syscall layer passes stack arrays of
+//! [`ArgView`]s), so recording a call builds no owned [`TraceEvent`].
+//! [`Recorder::take_batch`] hands the whole batch over by swap — the
+//! analysis side consumes it without re-packing — while
+//! [`Recorder::take`] and [`Recorder::peek`] materialize owned events
+//! only for callers that want a [`Trace`].
+//!
+//! Ring mode ([`Recorder::with_capacity`]) runs on the same batch. A
+//! record that finds `capacity` live rows marks the oldest one stale and
+//! counts a drop, exactly when the bounded buffer would have
+//! overwritten it; stale rows are compacted away in one pass once the
+//! batch holds twice the capacity (amortized O(1) per record). `len`,
+//! `take`, `take_batch` and `peek` see only the live, newest rows.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use crate::batch::{ArgView, EventBatch, EventRef};
 use crate::event::TraceEvent;
 use crate::Trace;
 
@@ -16,6 +32,29 @@ pub struct RecorderStats {
     /// Events discarded because the ring buffer was full (oldest-first),
     /// mirroring LTTng's `discard`/`overwrite` accounting.
     pub dropped: u64,
+}
+
+/// The recorder's buffer: recorded rows, of which the oldest `stale`
+/// have been overwritten in ring mode and await compaction.
+#[derive(Debug, Default)]
+struct Buffer {
+    batch: EventBatch,
+    stale: usize,
+}
+
+impl Buffer {
+    fn live(&self) -> usize {
+        self.batch.len() - self.stale
+    }
+
+    fn live_rows(&self) -> impl Iterator<Item = EventRef<'_>> + '_ {
+        self.batch.iter().skip(self.stale)
+    }
+
+    fn compact(&mut self) {
+        self.batch.drop_front(self.stale);
+        self.stale = 0;
+    }
 }
 
 /// A thread-safe syscall-event sink.
@@ -43,7 +82,7 @@ pub struct RecorderStats {
 /// ```
 #[derive(Debug)]
 pub struct Recorder {
-    buffer: Mutex<VecDeque<TraceEvent>>,
+    buffer: Mutex<Buffer>,
     capacity: Option<usize>,
     enabled: AtomicBool,
     seq: AtomicU64,
@@ -62,7 +101,7 @@ impl Recorder {
     #[must_use]
     pub fn new() -> Self {
         Recorder {
-            buffer: Mutex::new(VecDeque::new()),
+            buffer: Mutex::new(Buffer::default()),
             capacity: None,
             enabled: AtomicBool::new(true),
             seq: AtomicU64::new(0),
@@ -76,7 +115,6 @@ impl Recorder {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         Recorder {
-            buffer: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
             capacity: Some(capacity),
             ..Recorder::new()
         }
@@ -98,37 +136,61 @@ impl Recorder {
     /// Records an event, stamping `seq`, `timestamp_ns`, and leaving `pid`
     /// as provided by the caller.
     pub fn record(&self, mut event: TraceEvent) {
+        self.append(|batch, seq, timestamp_ns| {
+            event.seq = seq;
+            event.timestamp_ns = timestamp_ns;
+            batch.push_event(&event);
+        });
+    }
+
+    /// Records one call from borrowed parts, stamping `seq` and
+    /// `timestamp_ns` like [`record`](Self::record). Nothing is
+    /// allocated per call beyond amortized column growth.
+    pub fn record_view(&self, pid: u32, name: &str, sysno: u32, args: &[ArgView<'_>], retval: i64) {
+        self.append(|batch, seq, timestamp_ns| {
+            batch.push_row(seq, timestamp_ns, pid, name, sysno, args, retval);
+        });
+    }
+
+    /// Stamps the next identity and lets `push` append one row, applying
+    /// the enable switch and ring-mode accounting.
+    fn append(&self, push: impl FnOnce(&mut EventBatch, u64, u64)) {
         if !self.is_enabled() {
             return;
         }
-        event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         // Logical clock: 1 µs per event keeps timestamps strictly
         // increasing and human-scaled without being wall-clock dependent.
-        event.timestamp_ns = self.clock_ns.fetch_add(1_000, Ordering::Relaxed);
+        let timestamp_ns = self.clock_ns.fetch_add(1_000, Ordering::Relaxed);
         let mut buf = self.buffer.lock();
         if let Some(cap) = self.capacity {
-            if buf.len() >= cap && cap > 0 {
-                buf.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
             if cap == 0 {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 return;
             }
+            if buf.live() >= cap {
+                buf.stale += 1;
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        buf.push_back(event);
+        push(&mut buf.batch, seq, timestamp_ns);
+        if let Some(cap) = self.capacity {
+            if buf.batch.len() >= cap.saturating_mul(2) {
+                buf.compact();
+            }
+        }
     }
 
     /// Number of currently buffered events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.buffer.lock().len()
+        self.buffer.lock().live()
     }
 
     /// Whether the buffer is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.buffer.lock().is_empty()
+        self.len() == 0
     }
 
     /// Session statistics (total recorded and dropped).
@@ -140,19 +202,32 @@ impl Recorder {
         }
     }
 
-    /// Drains the buffer into a [`Trace`], leaving the recorder running
-    /// (sequence numbers keep increasing across takes).
+    /// Drains the buffer into a [`Trace`] of owned events, leaving the
+    /// recorder running (sequence numbers keep increasing across takes).
     #[must_use]
     pub fn take(&self) -> Trace {
         let mut buf = self.buffer.lock();
-        Trace::from_events(buf.drain(..).collect())
+        let events = buf.live_rows().map(EventRef::to_event).collect();
+        buf.batch.clear();
+        buf.stale = 0;
+        Trace::from_events(events)
+    }
+
+    /// Drains the buffer as the columnar batch itself, handed over by
+    /// swap: no row is copied or materialized. The recorder continues
+    /// into a fresh, empty batch.
+    #[must_use]
+    pub fn take_batch(&self) -> EventBatch {
+        let mut buf = self.buffer.lock();
+        buf.compact();
+        std::mem::take(&mut buf.batch)
     }
 
     /// Copies the current buffer contents without draining.
     #[must_use]
     pub fn peek(&self) -> Trace {
         let buf = self.buffer.lock();
-        Trace::from_events(buf.iter().cloned().collect())
+        Trace::from_events(buf.live_rows().map(EventRef::to_event).collect())
     }
 }
 

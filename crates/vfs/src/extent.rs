@@ -209,6 +209,16 @@ impl ExtentStore {
         out
     }
 
+    /// The length [`read`](Self::read) would return for the same range,
+    /// without reading.
+    #[must_use]
+    pub(crate) fn read_len(&self, offset: u64, len: u64) -> u64 {
+        offset
+            .saturating_add(len)
+            .min(self.size)
+            .saturating_sub(offset)
+    }
+
     /// Punches a hole: deallocates `[offset, offset + len)` without
     /// changing the file size (`FALLOC_FL_PUNCH_HOLE` semantics). The
     /// range reads as zeros afterwards.

@@ -510,7 +510,21 @@ impl Vfs {
     /// (directory), `EAGAIN` (non-blocking empty FIFO), plus injected
     /// faults (`EINTR`, `EIO`).
     pub fn read(&mut self, pid: Pid, fd: i32, count: u64) -> VfsResult<Vec<u8>> {
-        self.read_impl(pid, fd, count, None, "read")
+        self.read_impl(pid, fd, count, None, "read", true)
+            .map(|(_, data)| data)
+    }
+
+    /// [`read`](Self::read) for a caller that discards the bytes: the
+    /// same checks, faults and side effects (offset, atime, stats), but
+    /// only the byte count is computed: no buffer is allocated or
+    /// filled, however large `count` is.
+    ///
+    /// # Errors
+    ///
+    /// As [`read`](Self::read).
+    pub fn read_len(&mut self, pid: Pid, fd: i32, count: u64) -> VfsResult<u64> {
+        self.read_impl(pid, fd, count, None, "read", false)
+            .map(|(len, _)| len)
     }
 
     /// `pread64(2)`: reads at an explicit offset without moving the
@@ -524,7 +538,22 @@ impl Vfs {
         if self.cov.branch("vfs::read/einval_offset", offset < 0) {
             return Err(Errno::EINVAL);
         }
-        self.read_impl(pid, fd, count, Some(offset as u64), "pread64")
+        self.read_impl(pid, fd, count, Some(offset as u64), "pread64", true)
+            .map(|(_, data)| data)
+    }
+
+    /// [`pread`](Self::pread) returning only the byte count, like
+    /// [`read_len`](Self::read_len).
+    ///
+    /// # Errors
+    ///
+    /// As [`pread`](Self::pread).
+    pub fn pread_len(&mut self, pid: Pid, fd: i32, count: u64, offset: i64) -> VfsResult<u64> {
+        if self.cov.branch("vfs::read/einval_offset", offset < 0) {
+            return Err(Errno::EINVAL);
+        }
+        self.read_impl(pid, fd, count, Some(offset as u64), "pread64", false)
+            .map(|(len, _)| len)
     }
 
     /// `readv(2)`: reads into `iov_lens.len()` buffers, returning the
@@ -542,9 +571,12 @@ impl Vfs {
             return Err(Errno::EINVAL);
         }
         let total: u64 = iov_lens.iter().sum();
-        self.read_impl(pid, fd, total, None, "readv")
+        self.read_impl(pid, fd, total, None, "readv", true)
+            .map(|(_, data)| data)
     }
 
+    /// The read family's one implementation: the byte count read and,
+    /// when `keep` is set, the bytes themselves (otherwise empty).
     fn read_impl(
         &mut self,
         pid: Pid,
@@ -552,7 +584,8 @@ impl Vfs {
         count: u64,
         offset: Option<u64>,
         op: &'static str,
-    ) -> VfsResult<Vec<u8>> {
+        keep: bool,
+    ) -> VfsResult<(u64, Vec<u8>)> {
         self.cov.fn_hit("vfs::read");
         self.stats.ops += 1;
         let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?.clone();
@@ -584,11 +617,16 @@ impl Vfs {
         if self.cov.branch("vfs::read/eisdir", kind_is == 0) {
             return Err(Errno::EISDIR);
         }
-        let mut data = match kind_is {
+        let (len, mut data) = match kind_is {
             1 => {
                 let pos = offset.unwrap_or(file.offset);
-                let inode = self.tree.get(ino);
-                inode.content().read(pos, count)
+                let content = self.tree.get(ino).content();
+                if keep {
+                    let data = content.read(pos, count);
+                    (data.len() as u64, data)
+                } else {
+                    (content.read_len(pos, count), Vec::new())
+                }
             }
             2 => {
                 // FIFO with no buffered data: non-blocking read fails
@@ -602,29 +640,37 @@ impl Vfs {
                 ) {
                     return Err(Errno::EAGAIN);
                 }
-                Vec::new()
+                (0, Vec::new())
             }
             _ => {
                 // Character/block devices read as zero-fill (bounded).
-                vec![0u8; count.min(DEV_READ_CAP) as usize]
+                let len = count.min(DEV_READ_CAP);
+                (
+                    len,
+                    if keep {
+                        vec![0u8; len as usize]
+                    } else {
+                        Vec::new()
+                    },
+                )
             }
         };
         if offset.is_none() {
             if let Some(f) = self.process_mut(pid).fd_mut(fd) {
-                f.offset = f.offset.saturating_add(data.len() as u64);
+                f.offset = f.offset.saturating_add(len);
             }
         }
         if !file.flags.contains(OpenFlags::O_NOATIME) {
             let now = self.now();
             self.tree.get_mut(ino).times.atime = now;
         }
-        self.stats.bytes_read += data.len() as u64;
+        self.stats.bytes_read += len;
         if action == Some(FaultAction::CorruptData) {
             if let Some(first) = data.first_mut() {
                 *first ^= 0xff;
             }
         }
-        Ok(data)
+        Ok((len, data))
     }
 
     // ------------------------------------------------------------------

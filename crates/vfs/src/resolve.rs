@@ -1,6 +1,6 @@
 //! Pathname resolution: component walking, symlinks, permissions, limits.
 
-use std::collections::VecDeque;
+use std::borrow::Cow;
 
 use crate::errno::{Errno, VfsResult};
 use crate::flags::{ResolveFlags, AT_FDCWD, NAME_MAX, PATH_MAX, SYMLOOP_MAX};
@@ -129,15 +129,15 @@ impl Vfs {
             base
         };
 
-        let mut queue: VecDeque<String> = path
-            .split('/')
-            .filter(|c| !c.is_empty())
-            .map(str::to_owned)
-            .collect();
-        let require_dir = path.ends_with('/') && !queue.is_empty();
+        // Components still to walk: spliced symlink-target components
+        // (owned, next one on top) come before the rest of `path`, which
+        // is walked borrowed.
+        let mut rest = path.split('/').filter(|c| !c.is_empty()).peekable();
+        let mut spliced: Vec<String> = Vec::new();
+        let require_dir = path.ends_with('/') && rest.peek().is_some();
 
         // The root of the walk ("/" or the dirfd itself).
-        if queue.is_empty() {
+        if rest.peek().is_none() {
             return Ok(Resolved {
                 parent: None,
                 name: "/".to_owned(),
@@ -156,8 +156,11 @@ impl Vfs {
             if cov.branch("vfs::resolve/walk_cap", walked > MAX_WALK) {
                 return Err(Errno::ELOOP);
             }
-            let comp = queue.pop_front().expect("non-empty queue");
-            let is_last = queue.is_empty();
+            let comp: Cow<'_, str> = match spliced.pop() {
+                Some(piece) => Cow::Owned(piece),
+                None => Cow::Borrowed(rest.next().expect("a component remains")),
+            };
+            let is_last = spliced.is_empty() && rest.peek().is_none();
 
             let cur_inode = self.tree.inodes.get(&cur).ok_or(Errno::ENOENT)?;
             if cov.branch("vfs::resolve/notdir", !cur_inode.is_dir()) {
@@ -199,14 +202,14 @@ impl Vfs {
             }
 
             let cur_inode = self.tree.get(cur);
-            let next = cur_inode.entries().get(comp.as_str()).copied();
+            let next = cur_inode.entries().get(comp.as_ref()).copied();
 
             match next {
                 None => {
                     if is_last {
                         return Ok(Resolved {
                             parent: Some(cur),
-                            name: comp,
+                            name: comp.into_owned(),
                             ino: None,
                             require_dir,
                         });
@@ -225,7 +228,6 @@ impl Vfs {
                             if cov.branch("vfs::resolve/eloop", symlinks > SYMLOOP_MAX) {
                                 return Err(Errno::ELOOP);
                             }
-                            let target = target.clone();
                             if target.is_empty() {
                                 return Err(Errno::ENOENT);
                             }
@@ -237,10 +239,14 @@ impl Vfs {
                                 depth = 0;
                             }
                             // Splice the target's components before the rest.
-                            for piece in target.split('/').filter(|c| !c.is_empty()).rev() {
-                                queue.push_front(piece.to_owned());
-                            }
-                            if queue.is_empty() {
+                            spliced.extend(
+                                target
+                                    .split('/')
+                                    .filter(|c| !c.is_empty())
+                                    .rev()
+                                    .map(str::to_owned),
+                            );
+                            if spliced.is_empty() && rest.peek().is_none() {
                                 // Target was "/" (or all-slashes): resolved.
                                 return Ok(Resolved {
                                     parent: None,
@@ -254,7 +260,7 @@ impl Vfs {
                         // Unfollowed final symlink.
                         return Ok(Resolved {
                             parent: Some(cur),
-                            name: comp,
+                            name: comp.into_owned(),
                             ino: Some(next_ino),
                             require_dir,
                         });
@@ -268,7 +274,7 @@ impl Vfs {
                         }
                         return Ok(Resolved {
                             parent: Some(cur),
-                            name: comp,
+                            name: comp.into_owned(),
                             ino: Some(next_ino),
                             require_dir,
                         });

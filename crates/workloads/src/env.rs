@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use iocov_syscalls::Kernel;
-use iocov_trace::{Recorder, Trace};
+use iocov_trace::{EventBatch, Recorder, Trace};
 use iocov_vfs::{Gid, Pid, SharedHook, Uid, Vfs, VfsConfig};
 
 /// The canonical mount point both simulated suites test under — the same
@@ -74,6 +74,13 @@ impl TestEnv {
     #[must_use]
     pub fn take_trace(&self) -> Trace {
         self.recorder.take()
+    }
+
+    /// Drains the events recorded so far as one columnar batch, handed
+    /// over without copying a row (see [`Recorder::take_batch`]).
+    #[must_use]
+    pub fn take_batch(&self) -> EventBatch {
+        self.recorder.take_batch()
     }
 
     /// Creates a fresh kernel ("mkfs + mount"): a new file system with

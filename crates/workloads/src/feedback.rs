@@ -22,16 +22,19 @@
 //!    campaign TCD ([`iocov::campaign_tcd`]). Analysis is the second
 //!    stage of a two-stage round: each round opens one
 //!    [`AnalysisSession`] over a one-worker supervised
-//!    [`PoolExecutor`], and the generator hands the recorder's events to
+//!    [`PoolExecutor`], and the generator hands the recorder's batch to
 //!    it every [`DEFAULT_CHUNK`] events (and once more at the end of the
 //!    round), so filtering and accumulation run on a second core while
-//!    the kernel keeps executing. One session per round keeps relevance
-//!    state (descriptor provenance) from crossing a round boundary,
-//!    exactly like analyzing each round's trace on its own. A worker
-//!    that panics is restarted and replays its batch log, so the round
-//!    report does not change; a worker that exhausts its restart budget
-//!    (`gave_up`) fails the campaign with a [`CampaignError`] instead
-//!    of merging a partial round.
+//!    the kernel keeps executing. The hand-off is a swap: the recorder's
+//!    columnar [`EventBatch`](iocov_trace::EventBatch) goes to the
+//!    worker as recorded and the recorder continues into an empty one,
+//!    so no event is materialized or re-packed on the way. One session
+//!    per round keeps relevance state (descriptor provenance) from
+//!    crossing a round boundary, exactly like analyzing each round's
+//!    trace on its own. A worker that panics is restarted and replays
+//!    its batch log, so the round report does not change; a worker that
+//!    exhausts its restart budget (`gave_up`) fails the campaign with a
+//!    [`CampaignError`] instead of merging a partial round.
 //!
 //! Rounds stop when the TCD target is reached or the round budget is
 //! exhausted. Campaigns are byte-reproducible per seed: the emitted
@@ -39,7 +42,6 @@
 //! on `(profile, CampaignConfig)`.
 
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 
 use rand::rngs::StdRng;
@@ -57,7 +59,7 @@ use iocov_vfs::{Pid, VfsConfig};
 
 use crate::env::{TestEnv, MOUNT};
 use crate::profile::{OpenProfile, SizeProfile, SuiteProfile};
-use crate::sampler::{sample_open_flags, sample_size, weighted_index};
+use crate::sampler::{sample_open_flags, sample_size_with, size_weights, weighted_index};
 
 /// The unprivileged helper process [`TestEnv::fresh_kernel`] spawns;
 /// permission-errno probes run as it.
@@ -215,10 +217,12 @@ impl<'e> RoundAnalysis<'e> {
         }
     }
 
+    /// Swaps the recorder's batch out and broadcasts it to the worker
+    /// as is: the rows are never re-packed.
     fn drain(&mut self) {
-        let events = self.env.take_trace().into_events();
-        if !events.is_empty() {
-            self.session.feed_owned(events);
+        let batch = self.env.take_batch();
+        if !batch.is_empty() {
+            self.session.feed(batch);
         }
     }
 
@@ -353,6 +357,7 @@ impl FeedbackCampaign {
             emitted: 0,
             resources: Vec::new(),
             next_var: 0,
+            xattr_value: Vec::new(),
         };
 
         // --- errno probes, worst deficit first --------------------
@@ -422,6 +427,9 @@ struct Gen<'a> {
     /// Live descriptors as `(log variable, fd)`.
     resources: Vec<(usize, i32)>,
     next_var: usize,
+    /// `'a'` bytes, grown to the largest xattr value set so far; each
+    /// `setxattr` passes a prefix instead of building its value.
+    xattr_value: Vec<u8>,
 }
 
 impl Gen<'_> {
@@ -543,8 +551,13 @@ impl Gen<'_> {
     }
 
     fn setxattr(&mut self, path: &str, name: &str, size: u64, flags: u32) -> RawRet {
-        let value = vec![0x61u8; usize::try_from(size).unwrap_or(0)];
-        let ret = self.kernel.setxattr(path, name, &value, flags);
+        let len = usize::try_from(size).unwrap_or(0);
+        if self.xattr_value.len() < len {
+            self.xattr_value.resize(len, 0x61);
+        }
+        let ret = self
+            .kernel
+            .setxattr(path, name, &self.xattr_value[..len], flags);
         self.emitted += 1;
         let _ = writeln!(
             self.log,
@@ -721,24 +734,68 @@ const MENU: [CallKind; 13] = [
     CallKind::Close,
 ];
 
-/// Cold-deficit-derived sampling state for one round.
+/// A size profile with its draw weights precomputed once per round.
+struct SizeTable {
+    profile: SizeProfile,
+    weights: Vec<f64>,
+}
+
+impl SizeTable {
+    fn new(profile: SizeProfile) -> Self {
+        let weights = size_weights(&profile);
+        SizeTable { profile, weights }
+    }
+
+    fn sample(&self, rng: &mut StdRng) -> u64 {
+        sample_size_with(rng, &self.profile, &self.weights)
+    }
+}
+
+/// An offset-like argument's partitions and their draw weights, aligned.
+struct OffsetTable {
+    parts: Vec<NumericPartition>,
+    weights: Vec<f64>,
+}
+
+impl OffsetTable {
+    fn sample(&self, rng: &mut StdRng) -> i64 {
+        match self.parts[weighted_index(rng, &self.weights)] {
+            NumericPartition::Negative => -i64::from(rng.random_range(1..1 << 20u32)),
+            NumericPartition::Zero => 0,
+            NumericPartition::Log2(k) => {
+                let k = k.min(40);
+                let lo = 1i64 << k;
+                rng.random_range(lo..lo << 1)
+            }
+        }
+    }
+}
+
+/// Per-bit probabilities of a mode word, aligned with [`MODE_BITS`].
+type ModeOdds = [f64; MODE_BITS.len()];
+
+/// Cold-deficit-derived sampling state for one round. Every weight
+/// vector and per-bit probability is derived here, once, so a draw
+/// allocates nothing and looks nothing up.
 struct Bias {
     open: OpenProfile,
-    write_size: SizeProfile,
-    read_size: SizeProfile,
-    xattr_size: SizeProfile,
-    /// Cold mode-bit names per mode-typed argument.
-    open_mode_cold: BTreeSet<String>,
-    mkdir_mode_cold: BTreeSet<String>,
-    chmod_mode_cold: BTreeSet<String>,
-    /// `(whence value, weight)`, including the `<invalid>` 99.
-    whence_weights: Vec<(u32, f64)>,
-    xattr_flag_cold: BTreeSet<String>,
-    /// Per-offset-argument `(partition, weight)` tables.
-    read_offset: Vec<(NumericPartition, f64)>,
-    write_offset: Vec<(NumericPartition, f64)>,
-    lseek_offset: Vec<(NumericPartition, f64)>,
-    truncate_length: Vec<(NumericPartition, f64)>,
+    write_size: SizeTable,
+    read_size: SizeTable,
+    xattr_size: SizeTable,
+    /// Per-bit set probabilities per mode-typed argument: cold bits
+    /// likely, warm bits rare.
+    open_mode: ModeOdds,
+    mkdir_mode: ModeOdds,
+    chmod_mode: ModeOdds,
+    /// Whence values and their weights, including the `<invalid>` 99.
+    whence_values: Vec<u32>,
+    whence_weights: Vec<f64>,
+    /// Per-bit set probabilities, aligned with [`XATTR_FLAG_BITS`].
+    xattr_flags: [f64; XATTR_FLAG_BITS.len()],
+    read_offset: OffsetTable,
+    write_offset: OffsetTable,
+    lseek_offset: OffsetTable,
+    truncate_length: OffsetTable,
     /// Syscall-menu weights, aligned with [`MENU`].
     menu_weights: Vec<f64>,
 }
@@ -803,58 +860,52 @@ impl Bias {
         };
         let _ = profile; // the calibrated profile seeds nothing cold-side
 
-        let mode_cold = |arg: ArgName| -> BTreeSet<String> {
-            MODE_BITS
-                .iter()
-                .filter(|(name, _)| flag_deficit(arg, name) > 0.0)
-                .map(|(name, _)| (*name).to_owned())
-                .collect()
+        let mode_odds = |arg: ArgName| -> ModeOdds {
+            MODE_BITS.map(|(name, _)| {
+                if flag_deficit(arg, name) > 0.0 {
+                    0.6
+                } else {
+                    0.08
+                }
+            })
         };
 
-        let mut whence_weights: Vec<(u32, f64)> = WHENCE_VALUES
+        let mut whence_values: Vec<u32> = WHENCE_VALUES.iter().map(|(_, v)| *v).collect();
+        let mut whence_weights: Vec<f64> = WHENCE_VALUES
             .iter()
-            .map(|(name, v)| {
-                (
-                    *v,
-                    deficit_of(
-                        ArgName::LseekWhence,
-                        &InputPartition::Categorical((*name).to_owned()),
-                    ) + EPS,
-                )
+            .map(|(name, _)| {
+                deficit_of(
+                    ArgName::LseekWhence,
+                    &InputPartition::Categorical((*name).to_owned()),
+                ) + EPS
             })
             .collect();
-        whence_weights.push((
-            99,
+        whence_values.push(99);
+        whence_weights.push(
             deficit_of(
                 ArgName::LseekWhence,
                 &InputPartition::Categorical(INVALID_CATEGORY.to_owned()),
             ) + EPS,
-        ));
+        );
 
-        let xattr_flag_cold = XATTR_FLAG_BITS
-            .iter()
-            .filter(|(name, _)| flag_deficit(ArgName::SetxattrFlags, name) > 0.0)
-            .map(|(name, _)| (*name).to_owned())
-            .collect();
-
-        let offset_table = |arg: ArgName| -> Vec<(NumericPartition, f64)> {
-            let mut table = vec![
-                (
-                    NumericPartition::Negative,
-                    deficit_of(arg, &InputPartition::Numeric(NumericPartition::Negative)) + EPS,
-                ),
-                (
-                    NumericPartition::Zero,
-                    deficit_of(arg, &InputPartition::Numeric(NumericPartition::Zero)) + EPS,
-                ),
-            ];
-            for k in 0..=40u32 {
-                table.push((
-                    NumericPartition::Log2(k),
-                    deficit_of(arg, &InputPartition::Numeric(NumericPartition::Log2(k))) + EPS,
-                ));
+        let xattr_flags = XATTR_FLAG_BITS.map(|(name, _)| {
+            if flag_deficit(ArgName::SetxattrFlags, name) > 0.0 {
+                0.5
+            } else {
+                0.15
             }
-            table
+        });
+
+        let offset_table = |arg: ArgName| -> OffsetTable {
+            let parts: Vec<NumericPartition> = [NumericPartition::Negative, NumericPartition::Zero]
+                .into_iter()
+                .chain((0..=40u32).map(NumericPartition::Log2))
+                .collect();
+            let weights = parts
+                .iter()
+                .map(|&part| deficit_of(arg, &InputPartition::Numeric(part)) + EPS)
+                .collect();
+            OffsetTable { parts, weights }
         };
 
         let arg_sum =
@@ -898,14 +949,27 @@ impl Bias {
 
         Bias {
             open,
-            write_size: size_profile(ArgName::WriteCount, Some(BaseSyscall::Write), 32),
-            read_size: size_profile(ArgName::ReadCount, Some(BaseSyscall::Read), 32),
-            xattr_size: size_profile(ArgName::SetxattrSize, Some(BaseSyscall::Getxattr), 17),
-            open_mode_cold: mode_cold(ArgName::OpenMode),
-            mkdir_mode_cold: mode_cold(ArgName::MkdirMode),
-            chmod_mode_cold: mode_cold(ArgName::ChmodMode),
+            write_size: SizeTable::new(size_profile(
+                ArgName::WriteCount,
+                Some(BaseSyscall::Write),
+                32,
+            )),
+            read_size: SizeTable::new(size_profile(
+                ArgName::ReadCount,
+                Some(BaseSyscall::Read),
+                32,
+            )),
+            xattr_size: SizeTable::new(size_profile(
+                ArgName::SetxattrSize,
+                Some(BaseSyscall::Getxattr),
+                17,
+            )),
+            open_mode: mode_odds(ArgName::OpenMode),
+            mkdir_mode: mode_odds(ArgName::MkdirMode),
+            chmod_mode: mode_odds(ArgName::ChmodMode),
+            whence_values,
             whence_weights,
-            xattr_flag_cold,
+            xattr_flags,
             read_offset: offset_table(ArgName::ReadOffset),
             write_offset: offset_table(ArgName::WriteOffset),
             lseek_offset: offset_table(ArgName::LseekOffset),
@@ -914,49 +978,28 @@ impl Bias {
         }
     }
 
-    /// A mode word: cold bits are likely, warm bits rare.
-    fn sample_mode(rng: &mut StdRng, cold_bits: &BTreeSet<String>) -> u32 {
-        let mut mode = 0u32;
-        for (name, bits) in MODE_BITS {
-            let p = if cold_bits.contains(name) { 0.6 } else { 0.08 };
+    /// A bit word: one Bernoulli draw per bit, in table order.
+    fn sample_bits(rng: &mut StdRng, bits: &[(&str, u32)], odds: &[f64]) -> u32 {
+        let mut word = 0u32;
+        for ((_, bit), &p) in bits.iter().zip(odds) {
             if rng.random_bool(p) {
-                mode |= bits;
+                word |= bit;
             }
         }
-        mode
+        word
     }
 
-    fn sample_offset(rng: &mut StdRng, table: &[(NumericPartition, f64)]) -> i64 {
-        let weights: Vec<f64> = table.iter().map(|(_, w)| *w).collect();
-        match table[weighted_index(rng, &weights)].0 {
-            NumericPartition::Negative => -i64::from(rng.random_range(1..1 << 20u32)),
-            NumericPartition::Zero => 0,
-            NumericPartition::Log2(k) => {
-                let k = k.min(40);
-                let lo = 1i64 << k;
-                rng.random_range(lo..lo << 1)
-            }
-        }
+    /// A mode word: cold bits are likely, warm bits rare.
+    fn sample_mode(rng: &mut StdRng, odds: &ModeOdds) -> u32 {
+        Self::sample_bits(rng, &MODE_BITS, odds)
     }
 
     fn sample_whence(&self, rng: &mut StdRng) -> u32 {
-        let weights: Vec<f64> = self.whence_weights.iter().map(|(_, w)| *w).collect();
-        self.whence_weights[weighted_index(rng, &weights)].0
+        self.whence_values[weighted_index(rng, &self.whence_weights)]
     }
 
     fn sample_xattr_flags(&self, rng: &mut StdRng) -> u32 {
-        let mut flags = 0u32;
-        for (name, bits) in XATTR_FLAG_BITS {
-            let p = if self.xattr_flag_cold.contains(name) {
-                0.5
-            } else {
-                0.15
-            };
-            if rng.random_bool(p) {
-                flags |= bits;
-            }
-        }
-        flags
+        Self::sample_bits(rng, &XATTR_FLAG_BITS, &self.xattr_flags)
     }
 
     /// Ensures a live descriptor exists, opening a seed file when the
@@ -980,7 +1023,7 @@ impl Bias {
             CallKind::Open => {
                 let path = pick_path(rng, round);
                 let flags = sample_open_flags(rng, &self.open);
-                let mode = Self::sample_mode(rng, &self.open_mode_cold);
+                let mode = Self::sample_mode(rng, &self.open_mode);
                 gen.open(&path, flags, mode);
                 // Keep the pool bounded so opens don't accumulate into
                 // an EMFILE wall mid-round.
@@ -991,54 +1034,54 @@ impl Bias {
             CallKind::Read => {
                 if let Some(idx) = Self::pick_fd(gen, rng, round) {
                     let (var, fd) = gen.resources[idx];
-                    let count = sample_size(rng, &self.read_size);
+                    let count = self.read_size.sample(rng);
                     gen.read(var, fd, count);
                 }
             }
             CallKind::PRead => {
                 if let Some(idx) = Self::pick_fd(gen, rng, round) {
                     let (var, fd) = gen.resources[idx];
-                    let count = sample_size(rng, &self.read_size);
-                    let offset = Self::sample_offset(rng, &self.read_offset);
+                    let count = self.read_size.sample(rng);
+                    let offset = self.read_offset.sample(rng);
                     gen.pread(var, fd, count, offset);
                 }
             }
             CallKind::Write => {
                 if let Some(idx) = Self::pick_fd(gen, rng, round) {
                     let (var, fd) = gen.resources[idx];
-                    let count = sample_size(rng, &self.write_size);
+                    let count = self.write_size.sample(rng);
                     gen.write(var, fd, count);
                 }
             }
             CallKind::PWrite => {
                 if let Some(idx) = Self::pick_fd(gen, rng, round) {
                     let (var, fd) = gen.resources[idx];
-                    let count = sample_size(rng, &self.write_size);
-                    let offset = Self::sample_offset(rng, &self.write_offset);
+                    let count = self.write_size.sample(rng);
+                    let offset = self.write_offset.sample(rng);
                     gen.pwrite(var, fd, count, offset);
                 }
             }
             CallKind::Lseek => {
                 if let Some(idx) = Self::pick_fd(gen, rng, round) {
                     let (var, fd) = gen.resources[idx];
-                    let offset = Self::sample_offset(rng, &self.lseek_offset);
+                    let offset = self.lseek_offset.sample(rng);
                     let whence = self.sample_whence(rng);
                     gen.lseek(var, fd, offset, whence);
                 }
             }
             CallKind::Truncate => {
                 let path = pick_path(rng, round);
-                let length = Self::sample_offset(rng, &self.truncate_length);
+                let length = self.truncate_length.sample(rng);
                 gen.truncate(&path, length);
             }
             CallKind::Mkdir => {
                 let path = format!("{MOUNT}/dir{round}_{}", rng.random_range(0..64u32));
-                let mode = Self::sample_mode(rng, &self.mkdir_mode_cold);
+                let mode = Self::sample_mode(rng, &self.mkdir_mode);
                 gen.mkdir(&path, mode);
             }
             CallKind::Chmod => {
                 let path = pick_path(rng, round);
-                let mode = Self::sample_mode(rng, &self.chmod_mode_cold);
+                let mode = Self::sample_mode(rng, &self.chmod_mode);
                 gen.chmod(&path, mode);
             }
             CallKind::Chdir => {
@@ -1047,14 +1090,14 @@ impl Bias {
             CallKind::Setxattr => {
                 let path = pick_path(rng, round);
                 let name = format!("user.a{}", rng.random_range(0..4u32));
-                let size = sample_size(rng, &self.xattr_size);
+                let size = self.xattr_size.sample(rng);
                 let flags = self.sample_xattr_flags(rng);
                 gen.setxattr(&path, &name, size, flags);
             }
             CallKind::Getxattr => {
                 let path = pick_path(rng, round);
                 let name = format!("user.a{}", rng.random_range(0..4u32));
-                let size = sample_size(rng, &self.xattr_size);
+                let size = self.xattr_size.sample(rng);
                 gen.getxattr(&path, &name, size);
             }
             CallKind::Close => {
@@ -1173,6 +1216,7 @@ mod tests {
         let bias = Bias::derive(&cold, &xfstests_profile());
         let weight_of = |k: u32| -> f64 {
             bias.write_size
+                .profile
                 .bucket_weights
                 .iter()
                 .find(|(b, _)| *b == k)
@@ -1187,6 +1231,208 @@ mod tests {
         // The menu also leans toward the size-returning calls.
         assert!(cold.bucket_deficit(BaseSyscall::Write) > 0.0);
         assert!(cold.bucket_deficit(BaseSyscall::Open) == 0.0);
+    }
+
+    /// The per-draw samplers as they were before `Bias::derive`
+    /// precomputed their tables: each draw rebuilt its weight vector or
+    /// looked cold bits up by name.
+    mod per_draw {
+        use super::super::*;
+        use std::collections::BTreeSet;
+
+        pub(super) fn deficit(cold: &ColdReport, arg: ArgName, part: &InputPartition) -> f64 {
+            cold.inputs
+                .get(&arg)
+                .and_then(|v| v.iter().find(|c| &c.partition == part))
+                .map_or(0.0, |c| c.deficit)
+        }
+
+        pub(super) fn cold_bits(
+            cold: &ColdReport,
+            arg: ArgName,
+            bits: &[(&str, u32)],
+        ) -> BTreeSet<String> {
+            bits.iter()
+                .filter(|(name, _)| {
+                    deficit(cold, arg, &InputPartition::Flag((*name).to_owned())) > 0.0
+                })
+                .map(|(name, _)| (*name).to_owned())
+                .collect()
+        }
+
+        pub(super) fn offset_table(
+            cold: &ColdReport,
+            arg: ArgName,
+        ) -> Vec<(NumericPartition, f64)> {
+            let mut table = vec![
+                (
+                    NumericPartition::Negative,
+                    deficit(
+                        cold,
+                        arg,
+                        &InputPartition::Numeric(NumericPartition::Negative),
+                    ) + EPS,
+                ),
+                (
+                    NumericPartition::Zero,
+                    deficit(cold, arg, &InputPartition::Numeric(NumericPartition::Zero)) + EPS,
+                ),
+            ];
+            for k in 0..=40u32 {
+                table.push((
+                    NumericPartition::Log2(k),
+                    deficit(
+                        cold,
+                        arg,
+                        &InputPartition::Numeric(NumericPartition::Log2(k)),
+                    ) + EPS,
+                ));
+            }
+            table
+        }
+
+        pub(super) fn whence_weights(cold: &ColdReport) -> Vec<(u32, f64)> {
+            let mut weights: Vec<(u32, f64)> = WHENCE_VALUES
+                .iter()
+                .map(|(name, v)| {
+                    let part = InputPartition::Categorical((*name).to_owned());
+                    (*v, deficit(cold, ArgName::LseekWhence, &part) + EPS)
+                })
+                .collect();
+            let invalid = InputPartition::Categorical(INVALID_CATEGORY.to_owned());
+            weights.push((99, deficit(cold, ArgName::LseekWhence, &invalid) + EPS));
+            weights
+        }
+
+        pub(super) fn sample_mode(rng: &mut StdRng, cold_bits: &BTreeSet<String>) -> u32 {
+            let mut mode = 0u32;
+            for (name, bits) in MODE_BITS {
+                let p = if cold_bits.contains(name) { 0.6 } else { 0.08 };
+                if rng.random_bool(p) {
+                    mode |= bits;
+                }
+            }
+            mode
+        }
+
+        pub(super) fn sample_xattr_flags(rng: &mut StdRng, cold_bits: &BTreeSet<String>) -> u32 {
+            let mut flags = 0u32;
+            for (name, bits) in XATTR_FLAG_BITS {
+                let p = if cold_bits.contains(name) { 0.5 } else { 0.15 };
+                if rng.random_bool(p) {
+                    flags |= bits;
+                }
+            }
+            flags
+        }
+
+        pub(super) fn sample_offset(rng: &mut StdRng, table: &[(NumericPartition, f64)]) -> i64 {
+            let weights: Vec<f64> = table.iter().map(|(_, w)| *w).collect();
+            match table[weighted_index(rng, &weights)].0 {
+                NumericPartition::Negative => -i64::from(rng.random_range(1..1 << 20u32)),
+                NumericPartition::Zero => 0,
+                NumericPartition::Log2(k) => {
+                    let k = k.min(40);
+                    let lo = 1i64 << k;
+                    rng.random_range(lo..lo << 1)
+                }
+            }
+        }
+
+        pub(super) fn sample_whence(rng: &mut StdRng, table: &[(u32, f64)]) -> u32 {
+            let weights: Vec<f64> = table.iter().map(|(_, w)| *w).collect();
+            table[weighted_index(rng, &weights)].0
+        }
+
+        pub(super) fn sample_size(rng: &mut StdRng, profile: &SizeProfile) -> u64 {
+            let mut weights = Vec::with_capacity(profile.bucket_weights.len() + 1);
+            weights.push(profile.zero_weight);
+            weights.extend(profile.bucket_weights.iter().map(|(_, w)| *w));
+            if profile.bucket_weights.is_empty() || weights.iter().sum::<f64>() <= 0.0 {
+                return 0;
+            }
+            let idx = weighted_index(rng, &weights);
+            if idx == 0 {
+                return 0;
+            }
+            let (bucket, _) = profile.bucket_weights[idx - 1];
+            let bucket = bucket.min(63);
+            let lo = 1u64 << bucket;
+            if bucket == 63 {
+                rng.random_range(lo..=u64::MAX)
+            } else {
+                rng.random_range(lo..lo << 1)
+            }
+        }
+    }
+
+    #[test]
+    fn precomputed_tables_draw_exactly_like_per_draw_sampling() {
+        // An all-cold report (nothing covered yet) and a mixed one (a
+        // short fuzz run warms some partitions).
+        let fenv = TestEnv::new().with_config(campaign_config());
+        let _ = SyzFuzzerSim::new(3, 40, 12).run(&fenv);
+        let mixed = Iocov::with_mount_point(MOUNT)
+            .unwrap()
+            .analyze(&fenv.take_trace());
+        for report in [AnalysisReport::default(), mixed] {
+            let cold = extract_cold(&report, 10);
+            let bias = Bias::derive(&cold, &xfstests_profile());
+            let mode_cold = [ArgName::OpenMode, ArgName::MkdirMode, ArgName::ChmodMode]
+                .map(|arg| per_draw::cold_bits(&cold, arg, &MODE_BITS));
+            let xattr_cold = per_draw::cold_bits(&cold, ArgName::SetxattrFlags, &XATTR_FLAG_BITS);
+            let offsets = [
+                ArgName::ReadOffset,
+                ArgName::WriteOffset,
+                ArgName::LseekOffset,
+                ArgName::TruncateLength,
+            ]
+            .map(|arg| per_draw::offset_table(&cold, arg));
+            let whence = per_draw::whence_weights(&cold);
+            for seed in [1u64, 7, 42, 0xdead_beef] {
+                let mut new = StdRng::seed_from_u64(seed);
+                let mut old = StdRng::seed_from_u64(seed);
+                for _ in 0..10_000 {
+                    for (odds, cold_bits) in [&bias.open_mode, &bias.mkdir_mode, &bias.chmod_mode]
+                        .into_iter()
+                        .zip(&mode_cold)
+                    {
+                        assert_eq!(
+                            Bias::sample_mode(&mut new, odds),
+                            per_draw::sample_mode(&mut old, cold_bits)
+                        );
+                    }
+                    assert_eq!(
+                        bias.sample_xattr_flags(&mut new),
+                        per_draw::sample_xattr_flags(&mut old, &xattr_cold)
+                    );
+                    for (table, reference) in [
+                        &bias.read_offset,
+                        &bias.write_offset,
+                        &bias.lseek_offset,
+                        &bias.truncate_length,
+                    ]
+                    .into_iter()
+                    .zip(&offsets)
+                    {
+                        assert_eq!(
+                            table.sample(&mut new),
+                            per_draw::sample_offset(&mut old, reference)
+                        );
+                    }
+                    assert_eq!(
+                        bias.sample_whence(&mut new),
+                        per_draw::sample_whence(&mut old, &whence)
+                    );
+                    for size in [&bias.write_size, &bias.read_size, &bias.xattr_size] {
+                        assert_eq!(
+                            size.sample(&mut new),
+                            per_draw::sample_size(&mut old, &size.profile)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -50,6 +50,16 @@ pub fn sample_open_flags<R: rand::Rng>(rng: &mut R, profile: &OpenProfile) -> u3
     flags
 }
 
+/// The relative weights [`sample_size`] draws a bucket from: the "=0"
+/// weight first, then each bucket's weight in profile order.
+#[must_use]
+pub fn size_weights(profile: &SizeProfile) -> Vec<f64> {
+    let mut weights = Vec::with_capacity(profile.bucket_weights.len() + 1);
+    weights.push(profile.zero_weight);
+    weights.extend(profile.bucket_weights.iter().map(|(_, w)| *w));
+    weights
+}
+
 /// Samples a byte count from a size profile: picks a bucket by weight,
 /// then a value uniformly inside `[2^k, 2^(k+1))`.
 ///
@@ -59,15 +69,21 @@ pub fn sample_open_flags<R: rand::Rng>(rng: &mut R, profile: &OpenProfile) -> u3
 /// half-open bound saturates at `u64::MAX` (the `2^64` overflow would
 /// otherwise wrap `hi` to 0 and panic in `random_range`).
 pub fn sample_size<R: rand::Rng>(rng: &mut R, profile: &SizeProfile) -> u64 {
-    let mut weights = Vec::with_capacity(profile.bucket_weights.len() + 1);
-    weights.push(profile.zero_weight);
-    weights.extend(profile.bucket_weights.iter().map(|(_, w)| *w));
+    sample_size_with(rng, profile, &size_weights(profile))
+}
+
+/// [`sample_size`] over weights precomputed once with [`size_weights`]
+/// (`weights` must be `size_weights(profile)`), so a hot sampling loop
+/// allocates nothing per draw. Draws the same values from the same RNG
+/// state as [`sample_size`].
+pub fn sample_size_with<R: rand::Rng>(rng: &mut R, profile: &SizeProfile, weights: &[f64]) -> u64 {
+    debug_assert_eq!(weights.len(), profile.bucket_weights.len() + 1);
     if profile.bucket_weights.is_empty() || weights.iter().sum::<f64>() <= 0.0 {
         // No bucket is eligible; falling through to `bucket_weights[0]`
         // would either panic (empty) or sample a zero-weight bucket.
         return 0;
     }
-    let idx = weighted_index(rng, &weights);
+    let idx = weighted_index(rng, weights);
     if idx == 0 {
         // Only reachable when `zero_weight > 0`: a zero-weight entry can
         // never win a weighted draw against a positive total.

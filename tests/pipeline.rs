@@ -234,3 +234,53 @@ fn feedback_rounds_fed_in_chunks_match_whole_trace_analysis() {
     );
     assert_eq!(a.report, expected);
 }
+
+/// `iocov generate` output pinned across versions: the summary and log
+/// under `fixtures/baseline_pr13/` were rendered by the release binary
+/// that recorded owned events and re-packed them for analysis. Events
+/// now go from the recorder to the analysis worker as one columnar
+/// batch; the campaign's bytes must not move.
+#[test]
+fn feedback_campaign_matches_the_committed_baseline_bytes() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let log = std::env::temp_dir().join(format!(
+        "iocov-baseline-campaign-{}.log",
+        std::process::id()
+    ));
+    let args: Vec<String> = [
+        "generate",
+        "--feedback",
+        &format!("{root}/fixtures/feedback_report.json"),
+        "--seed",
+        "7",
+        "--target",
+        "1000",
+        "--target-tcd",
+        "0",
+        "--max-rounds",
+        "2",
+        "--events-per-round",
+        "2000",
+        "--json",
+        "--log-out",
+        log.to_str().unwrap(),
+    ]
+    .iter()
+    .map(|s| (*s).to_owned())
+    .collect();
+    let command = iocov_cli::parse_args(&args).unwrap();
+    let mut summary = Vec::new();
+    iocov_cli::run(&command, &mut summary).unwrap();
+    let log_bytes = std::fs::read(&log).unwrap();
+    let _ = std::fs::remove_file(&log);
+    let baseline =
+        |name: &str| std::fs::read(format!("{root}/fixtures/baseline_pr13/{name}")).unwrap();
+    assert!(
+        summary == baseline("summary.json"),
+        "generate --json summary differs from fixtures/baseline_pr13/summary.json"
+    );
+    assert!(
+        log_bytes == baseline("campaign.log"),
+        "campaign log differs from fixtures/baseline_pr13/campaign.log"
+    );
+}
