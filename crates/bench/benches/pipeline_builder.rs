@@ -1,19 +1,21 @@
-//! Builder-path overhead guard: the unified [`PipelineBuilder`] serial
-//! path versus a bare [`StreamingAnalyzer`] loop over the same events.
+//! Builder-path overhead guard: a one-worker session from
+//! [`PipelineBuilder::build_session`] versus a bare
+//! [`StreamingAnalyzer`] loop over the same events.
 //!
-//! The pipeline adds a replay log (`Arc` per batch), a `catch_unwind`
-//! per batch, and one rotation at finish on top of the raw scan; the
-//! acceptance bar for the refactor is that this overhead stays under
-//! 2% at realistic batch sizes. Both paths are handed freshly owned
-//! batches — in the real pipeline events arrive already owned from the
-//! decoder, so the copy is shared cost, not builder overhead. Run with
-//! `cargo bench --bench pipeline_builder` and compare `direct/N` to
-//! `builder/N` per batch size.
+//! The session hands each batch to its worker thread over a bounded
+//! channel, keeps an `Arc` per batch as the replay log, and drains the
+//! pool once at finish, on top of the raw scan; the acceptance bar is
+//! that this overhead stays under 2% at realistic batch sizes (not met
+//! on a 2-vCPU host; see DESIGN.md §12). Both paths are handed freshly
+//! packed batches — in the real pipeline events arrive already packed
+//! from the decoder, so the copy is shared cost, not builder overhead.
+//! Run with `cargo bench --bench pipeline_builder` and compare
+//! `direct/N` to `builder/N` per batch size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use iocov::{AnalysisReport, PipelineBuilder, StreamingAnalyzer, TraceFilter};
 use iocov_bench::sample_trace;
-use iocov_trace::TraceEvent;
+use iocov_trace::{EventBatch, TraceEvent};
 use iocov_workloads::MOUNT;
 
 fn filter() -> TraceFilter {
@@ -24,22 +26,22 @@ fn filter() -> TraceFilter {
 fn direct(events: &[TraceEvent], chunk: usize) -> AnalysisReport {
     let mut analyzer = StreamingAnalyzer::new(filter());
     for batch in events.chunks(chunk) {
-        let owned = batch.to_vec();
-        for event in &owned {
-            analyzer.push(event);
+        let batch = EventBatch::from_events(batch);
+        for event in batch.iter() {
+            analyzer.push(&event);
         }
     }
     analyzer.finish()
 }
 
-/// The unified path at one job: the same owned batches through the
-/// serial executor's supervised scan.
+/// The unified path at one job: the same batches through the
+/// session's one-worker supervised pool.
 fn builder_serial(events: &[TraceEvent], chunk: usize) -> AnalysisReport {
-    let mut pipeline = PipelineBuilder::new(filter()).chunk(chunk).build();
+    let mut session = PipelineBuilder::new(filter()).build_session();
     for batch in events.chunks(chunk) {
-        pipeline.push_owned(batch.to_vec());
+        session.feed(EventBatch::from_events(batch));
     }
-    pipeline.finish().0
+    session.finish().0
 }
 
 fn bench_pipeline_builder(c: &mut Criterion) {

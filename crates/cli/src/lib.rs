@@ -3236,6 +3236,79 @@ mod tests {
     }
 
     #[test]
+    fn restart_budget_bounds_the_whole_run_at_every_jobs_count() {
+        // Tester pids 0, 4 and 8 all land in shard 0 at jobs 1, 2 and 4,
+        // so a schedule that outlasts the restart budget abandons the
+        // same events at every worker count. Checkpointing every 4
+        // events drains and respawns the pool many times over; the
+        // budget must still bound the whole run, and the abandoned shard
+        // must not come back once the schedule runs dry (`0:0:5`).
+        let base = {
+            use iocov_syscalls::Kernel;
+            use iocov_trace::Recorder;
+            let recorder = Arc::new(Recorder::new());
+            let mut kernel = Kernel::new();
+            kernel.attach_recorder(Arc::clone(&recorder));
+            kernel.mkdir("/mnt", 0o755);
+            kernel.mkdir("/mnt/test", 0o755);
+            for i in 0..4 {
+                let fd = kernel.open(&format!("/mnt/test/f{i}"), 0o102, 0o644) as i32;
+                kernel.write(fd, &[0u8; 300]);
+                kernel.close(fd);
+            }
+            recorder.take().into_events()
+        };
+        let mut events = Vec::new();
+        for event in &base {
+            for pid in [0u32, 4, 8] {
+                let mut event = event.clone();
+                event.pid = pid;
+                events.push(event);
+            }
+        }
+        let file = tempfile::TempTrace::new(&iocov_trace::Trace::from_events(events));
+        #[derive(serde::Deserialize)]
+        struct Doc {
+            #[allow(dead_code)]
+            report: AnalysisReport,
+            metrics: iocov::MetricsSnapshot,
+        }
+        for schedule in ["0:0:5", "0:0:99"] {
+            let mut outputs = Vec::new();
+            for jobs in ["1", "2", "4"] {
+                let ckpt = ckpt_path(&format!("budget-{jobs}"));
+                let out = run_bytes(&[
+                    "analyze",
+                    &file.path,
+                    "--mount",
+                    "/mnt/test",
+                    "--json",
+                    "--metrics",
+                    "--jobs",
+                    jobs,
+                    "--checkpoint-every",
+                    "4",
+                    "--checkpoint-file",
+                    &ckpt,
+                    "--inject-panic",
+                    schedule,
+                ]);
+                let _ = std::fs::remove_file(&ckpt);
+                let _ = std::fs::remove_file(format!("{ckpt}.prev"));
+                let doc: Doc = serde_json::from_slice(&out).unwrap();
+                let max_restarts = u64::from(iocov::SupervisorPolicy::default().max_restarts);
+                assert_eq!(doc.metrics.shard_restarts, max_restarts, "jobs {jobs}");
+                assert_eq!(doc.metrics.shard_failures.len(), 1, "jobs {jobs}");
+                assert_eq!(doc.metrics.shard_failures[0].shard, 0);
+                assert!(doc.metrics.shard_failures[0].gave_up);
+                outputs.push(out);
+            }
+            assert_eq!(outputs[0], outputs[1], "{schedule}: jobs 1 vs 2");
+            assert_eq!(outputs[0], outputs[2], "{schedule}: jobs 1 vs 4");
+        }
+    }
+
+    #[test]
     fn injected_transient_io_faults_recover_byte_identical() {
         let file = sample_trace_file();
         let clean = run_bytes(&["analyze", &file.path, "--mount", "/mnt/test", "--json"]);

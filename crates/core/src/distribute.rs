@@ -82,7 +82,8 @@ use crate::filter::TraceFilter;
 use crate::metrics::{MetricsSnapshot, PipelineMetrics, ShardFailureRecord};
 use crate::parallel::{splitmix64, ShardError, SupervisorPolicy};
 use crate::pipeline::DEFAULT_CHUNK;
-use crate::session::AnalysisSession;
+use crate::session::checkpoint_doc;
+use crate::streaming::StreamingAnalyzer;
 
 /// Frame type: the coordinator's one [`WorkerSpec`] frame.
 pub const FRAME_SPEC: u8 = b'S';
@@ -425,17 +426,32 @@ pub fn run_worker(
     )
     .map_err(|e| WorkerError::Source(e.to_string()))?;
 
-    // The worker is a *direct* (unsupervised) session: the resume doc
-    // seeds its cumulative report, pid states, and metrics counters, and
-    // an internal panic propagates straight to process death.
+    // The worker is one process-supervised shard, so it drives a bare
+    // analyzer: the resume doc seeds its cumulative report, pid states,
+    // and metrics counters, and an internal panic propagates straight to
+    // process death.
     let metrics = Arc::new(PipelineMetrics::default());
-    let mut session = AnalysisSession::direct(
-        filter,
-        Some(Arc::clone(&metrics)),
-        spec.mount.clone(),
-        None,
-        spec.resume.as_ref(),
-    );
+    let mut analyzer = StreamingAnalyzer::new(filter).with_metrics(Arc::clone(&metrics));
+    let mut base_report = AnalysisReport::default();
+    if let Some(doc) = &spec.resume {
+        metrics.absorb(&doc.metrics);
+        analyzer.restore_pid_states(&doc.pid_states);
+        base_report = doc.report.clone();
+    }
+    // The cumulative report and pid states at a cut, as an `.iockpt`
+    // image at the source's batch-boundary position.
+    let cut_image = |analyzer: &StreamingAnalyzer, pos: &SourcePos| {
+        let mut report = base_report.clone();
+        report.merge(&analyzer.report());
+        let doc = checkpoint_doc(
+            spec.mount.clone(),
+            pos,
+            report,
+            analyzer.pid_states(),
+            Some(&metrics),
+        );
+        encode_checkpoint(&doc).map_err(WorkerError::Io)
+    };
     // A resumed ledger is restored into the cursor; only *growth* is
     // counted, mirroring the single-process pipeline driver.
     let mut skips_seen = source.skip_ledger().len();
@@ -459,7 +475,8 @@ pub fn run_worker(
         }
         write_frame(out, FRAME_HEARTBEAT, &[]).map_err(WorkerError::Io)?;
         // Keep only this shard's residue class, as a cheap row copy —
-        // the session then sees exactly what a pool shard would.
+        // the analyzer then sees exactly what a pool shard would, and
+        // the batch counters match a session fed the same rows.
         let mut kept = EventBatch::new();
         for (row, event) in batch.iter().enumerate() {
             if let Some(hook) = &hooks.tick {
@@ -471,25 +488,21 @@ pub fn run_worker(
             }
         }
         if !kept.is_empty() {
-            session.feed(kept);
+            metrics.record_batch(kept.len() as u64, kept.estimated_owned_allocs());
+            for event in kept.iter() {
+                analyzer.push(&event);
+            }
         }
         since_emit += batch.len() as u64;
         if spec.emit_every > 0 && since_emit >= spec.emit_every {
             since_emit = 0;
-            let image = cut_image(&mut session, &source.position())?;
+            let image = cut_image(&analyzer, &source.position())?;
             emit_frame(out, FRAME_CHECKPOINT, image, hooks, &mut frames)?;
         }
     }
-    let image = cut_image(&mut session, &source.position())?;
+    let image = cut_image(&analyzer, &source.position())?;
     emit_frame(out, FRAME_DONE, image, hooks, &mut frames)?;
     Ok(())
-}
-
-/// Encodes the worker session's current cut as a complete `.iockpt`
-/// image — resume-base state merged with everything this incarnation
-/// analyzed — at the source's batch-boundary position.
-fn cut_image(session: &mut AnalysisSession, pos: &SourcePos) -> Result<Vec<u8>, WorkerError> {
-    encode_checkpoint(&session.checkpoint_doc(pos)).map_err(WorkerError::Io)
 }
 
 /// Writes one checkpoint-bearing frame, applying the corrupt-frame hook

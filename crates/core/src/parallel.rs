@@ -1,5 +1,7 @@
-//! Pid-sharded parallel analysis over a supervised persistent worker
-//! pool.
+//! Pid-sharded analysis over a supervised persistent worker pool: the
+//! one execution path behind every
+//! [`AnalysisSession`](crate::session::AnalysisSession), at any worker
+//! count.
 //!
 //! Every piece of state the analysis pipeline carries between events is
 //! per-process: the trace filter's descriptor-provenance map and cwd
@@ -13,76 +15,48 @@
 //! **identical** to a serial run — same keys, same counts, same
 //! serialized bytes — regardless of the worker count. All shards
 //! accumulate through one shared [`StrInterner`], so the pool builds a
-//! single symbol table instead of N.
+//! single symbol table instead of N. `--jobs 1` is this same pool with
+//! one worker thread.
+//!
+//! The shard threads are **persistent**: they are spawned on the first
+//! dispatched batch and fed over bounded channels of depth
+//! [`PIPELINE_DEPTH`], so the caller can decode (or, in a feedback
+//! campaign, execute) the next chunk while the workers analyze the
+//! previous one. Batches are shared as `Arc<EventBatch>` — one columnar
+//! block broadcast to every worker, each of which walks it by reference
+//! and keeps only its own pids. Batches smaller than
+//! [`PARALLEL_THRESHOLD`] events are coalesced in a caller-side buffer
+//! so per-batch channel overhead never dominates tiny feeds.
 //!
 //! # Supervision
 //!
-//! Both analyzers are *supervised*: worker panics are caught with
-//! `catch_unwind`, converted into structured [`ShardError`] values, and
-//! absorbed by restarting the failed shard with exponential backoff (see
-//! [`SupervisorPolicy`]). The restart replays the shard's batches into a
-//! fresh [`StreamingAnalyzer`], so a recovered run's report is
+//! Worker panics are caught with `catch_unwind`, converted into
+//! structured [`ShardError`] values, and absorbed by restarting the
+//! failed shard with exponential backoff (see [`SupervisorPolicy`]).
+//! Every dispatched batch is retained (`Arc`-shared, so retention costs
+//! pointers, not copies) as the replay log: a restarted shard replays
+//! it into a fresh [`StreamingAnalyzer`], so a recovered run's report is
 //! byte-identical to a fault-free one. Restarts never double-count
 //! metrics: each worker *incarnation* accumulates into a private
 //! [`PipelineMetrics`] whose snapshot is absorbed into the shared
-//! instance only on clean completion. When a shard exhausts its restart
-//! budget the run *degrades* instead of aborting: the merged report
-//! omits that shard's pids and a [`ShardFailureRecord`] manifest
-//! (available via [`finish_with_failures`] / [`analyze_with_failures`]
-//! and in every metrics snapshot) says exactly what is missing. With
+//! instance only on clean completion. With
 //! [`SupervisorPolicy::shard_timeout`] set, a shard that stops
 //! heartbeating is declared stalled, abandoned, and replayed the same
 //! way.
 //!
-//! [`finish_with_failures`]: ParallelStreamingAnalyzer::finish_with_failures
-//! [`analyze_with_failures`]: ParallelAnalyzer::analyze_with_failures
+//! # Checkpoint cuts
 //!
-//! [`ParallelAnalyzer`] is the one-shot interface mirroring
-//! [`Analyzer`](crate::Analyzer): it spawns one scoped thread per shard
-//! over the whole borrowed slice — zero copies, one spawn per analysis
-//! attempt.
-//!
-//! [`ParallelStreamingAnalyzer`] is the chunked interface mirroring
-//! [`StreamingAnalyzer`]. It keeps each shard's filter state alive
-//! *across* chunks so a descriptor opened (or duplicated) in one chunk
-//! is still attributed correctly in the next — and unlike a
-//! spawn-per-chunk design, its shard threads are **persistent**: they
-//! are spawned once on the first dispatched batch and fed over bounded
-//! channels, so a caller can parse the next chunk while the workers are
-//! still analyzing the previous one (pipelined parse/analyze overlap).
-//! Batches are shared as `Arc<EventBatch>` — one columnar block
-//! broadcast to every worker, each of which walks it by reference
-//! ([`EventRef`](iocov_trace::EventRef)) and keeps only its own pids, so
-//! fan-out costs one atomic refcount per shard instead of an event-vector
-//! clone. Hand the pool a shared batch via
-//! [`push_shared`](ParallelStreamingAnalyzer::push_shared) (the
-//! pipeline's hot path) or an owned chunk via
-//! [`push_owned`](ParallelStreamingAnalyzer::push_owned); both the
-//! borrowed [`push_all`](ParallelStreamingAnalyzer::push_all) and owned
-//! compatibility paths pack events into batch columns rather than
-//! cloning them. Chunks smaller than [`PARALLEL_THRESHOLD`]
-//! events are coalesced in a caller-side buffer so per-batch channel
-//! overhead never dominates tiny pushes. The supervisor retains every
-//! dispatched batch (they are `Arc`-shared, so retention costs pointers,
-//! not copies) as the replay log for restarts.
-//!
-//! ```
-//! use iocov::{Analyzer, ParallelAnalyzer, TraceFilter};
-//! use iocov_trace::{ArgValue, Trace, TraceEvent};
-//!
-//! let mut open = TraceEvent::build(
-//!     "open",
-//!     2,
-//!     vec![ArgValue::Path("/mnt/test/f".into()), ArgValue::Flags(0), ArgValue::Mode(0)],
-//!     3,
-//! );
-//! open.pid = 7;
-//! let trace = Trace::from_events(vec![open]);
-//! let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-//! let serial = Analyzer::new(filter.clone()).analyze(&trace);
-//! let parallel = ParallelAnalyzer::new(filter, 4).analyze(&trace);
-//! assert_eq!(serial, parallel);
-//! ```
+//! A cut drains the pool: every shard finishes its incarnation, its
+//! report merges into the running base report and its per-pid relevance
+//! states replace the base states, and the replay log is cleared. The
+//! next batch spawns successors seeded with those states — the exact
+//! resume invariant the checkpoint tests prove, which also makes
+//! resuming from a checkpoint free. The per-shard supervision ledger is
+//! *not* reset by a cut: [`SupervisorPolicy::max_restarts`] bounds a
+//! whole run, and a shard that exhausts it (`gave_up`) stays abandoned
+//! until finish. Its pids are omitted from every later cut and from the
+//! final report, and a single [`ShardFailureRecord`] per failed shard
+//! says exactly what is missing.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -93,8 +67,9 @@ use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryS
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use iocov_trace::{EventBatch, EventView, StrInterner, Trace, TraceEvent};
+use iocov_trace::{EventBatch, EventView, StrInterner};
 
+use crate::checkpoint::PidStateSnapshot;
 use crate::coverage::AnalysisReport;
 use crate::filter::TraceFilter;
 use crate::metrics::{MetricsSnapshot, PipelineMetrics, ShardFailureRecord};
@@ -102,16 +77,16 @@ use crate::streaming::StreamingAnalyzer;
 
 /// A progress hook observed by every shard worker: `(shard, tick)`,
 /// where `tick` is the batch ordinal within the current worker
-/// incarnation (pool) or always `0` at scan start (one-shot). Fault
-/// injection (`iocov-faults`) plugs in here to panic or stall a specific
-/// shard at a specific point.
+/// incarnation. Fault injection (`iocov-faults`) plugs in here to panic
+/// or stall a specific shard at a specific point.
 pub type ShardHook = Arc<dyn Fn(usize, u64) + Send + Sync>;
 
 /// Restart budget, backoff curve, and stall watchdog for supervised
 /// shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorPolicy {
-    /// Restarts allowed per shard before it is abandoned (`gave_up`).
+    /// Restarts allowed per shard over a whole run before it is
+    /// abandoned (`gave_up`).
     pub max_restarts: u32,
     /// Backoff before the first restart; doubles per restart.
     pub base_backoff: Duration,
@@ -233,10 +208,10 @@ pub fn in_supervised_scan() -> bool {
 /// RAII: marks the current thread supervised for the guard's lifetime
 /// (cleared on unwind too, so a panic leaves the thread unmarked once
 /// the supervisor has taken over).
-pub(crate) struct SupervisedScanGuard;
+struct SupervisedScanGuard;
 
 impl SupervisedScanGuard {
-    pub(crate) fn enter() -> Self {
+    fn enter() -> Self {
         IN_SUPERVISED_SCAN.with(|flag| flag.set(true));
         SupervisedScanGuard
     }
@@ -259,297 +234,32 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// A one-shot parallel analyzer: shards a trace by pid across `workers`
-/// threads and merges the per-worker reports, supervising each shard
-/// per [`SupervisorPolicy`].
-#[derive(Clone)]
-pub struct ParallelAnalyzer {
-    filter: TraceFilter,
-    workers: usize,
-    metrics: Option<Arc<PipelineMetrics>>,
-    policy: SupervisorPolicy,
-    hook: Option<ShardHook>,
+/// Per-pid relevance states, keyed by pid.
+type PidStates = BTreeMap<u32, PidStateSnapshot>;
+
+/// What a worker incarnation hands back on clean completion.
+struct ShardOutput {
+    report: AnalysisReport,
+    /// The shard's per-pid relevance states (its restored base subset
+    /// plus every pid it saw since).
+    states: PidStates,
+    /// The incarnation's private metrics (snapshot + stage timings),
+    /// for the supervisor to absorb.
+    counters: Option<(MetricsSnapshot, BTreeMap<String, u64>)>,
 }
 
-impl fmt::Debug for ParallelAnalyzer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParallelAnalyzer")
-            .field("filter", &self.filter)
-            .field("workers", &self.workers)
-            .field("policy", &self.policy)
-            .field("hook", &self.hook.as_ref().map(|_| "…"))
-            .finish_non_exhaustive()
-    }
-}
-
-impl ParallelAnalyzer {
-    /// A parallel analyzer with a filter; `workers` is clamped to at
-    /// least 1.
-    #[must_use]
-    pub fn new(filter: TraceFilter, workers: usize) -> Self {
-        ParallelAnalyzer {
-            filter,
-            workers: workers.max(1),
-            metrics: None,
-            policy: SupervisorPolicy::default(),
-            hook: None,
-        }
-    }
-
-    /// An unfiltered parallel analyzer.
-    #[must_use]
-    pub fn unfiltered(workers: usize) -> Self {
-        ParallelAnalyzer::new(TraceFilter::keep_all(), workers)
-    }
-
-    /// Attaches shared pipeline metrics. Workers accumulate privately
-    /// and the totals are absorbed on clean shard completion, so
-    /// snapshots match a serial run exactly even across restarts.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: Arc<PipelineMetrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Overrides the supervision policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SupervisorPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Installs a worker progress hook (fault injection).
-    #[must_use]
-    pub fn with_hook(mut self, hook: ShardHook) -> Self {
-        self.hook = Some(hook);
-        self
-    }
-
-    /// The worker count.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The configured filter.
-    #[must_use]
-    pub fn filter(&self) -> &TraceFilter {
-        &self.filter
-    }
-
-    /// Runs the full pipeline over one trace.
-    #[must_use]
-    pub fn analyze(&self, trace: &Trace) -> AnalysisReport {
-        self.analyze_events(trace.events())
-    }
-
-    /// Runs the full pipeline over a slice of events.
-    #[must_use]
-    pub fn analyze_events(&self, events: &[TraceEvent]) -> AnalysisReport {
-        self.analyze_events_with_failures(events).0
-    }
-
-    /// Like [`analyze`](Self::analyze), also returning the shard-failure
-    /// manifest (empty on a fault-free run).
-    #[must_use]
-    pub fn analyze_with_failures(
-        &self,
-        trace: &Trace,
-    ) -> (AnalysisReport, Vec<ShardFailureRecord>) {
-        self.analyze_events_with_failures(trace.events())
-    }
-
-    /// Runs the supervised pipeline over a slice of events.
-    ///
-    /// One-shot analysis needs no pipelining — the whole input is
-    /// already in memory — so this scans the borrowed slice directly
-    /// from scoped shard threads: zero event copies and one spawn per
-    /// shard attempt. A panicking shard is rescanned from scratch (its
-    /// analyzer state died with it) after backoff, up to
-    /// [`SupervisorPolicy::max_restarts`] times; a shard that gives up
-    /// is reported in the returned manifest and its pids are missing
-    /// from the (partial) report. The process is never aborted by a
-    /// worker panic.
-    #[must_use]
-    pub fn analyze_events_with_failures(
-        &self,
-        events: &[TraceEvent],
-    ) -> (AnalysisReport, Vec<ShardFailureRecord>) {
-        let n = self.workers;
-        let interner = Arc::new(StrInterner::new());
-        let scans: Vec<ShardScan> = if n == 1 || events.len() < PARALLEL_THRESHOLD {
-            // Below the threshold thread spawn dominates; a serial pass
-            // over all shards costs the same modulo test per event.
-            (0..n)
-                .map(|w| self.supervised_scan(w, events, &interner))
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n)
-                    .map(|w| {
-                        let interner = Arc::clone(&interner);
-                        scope.spawn(move || self.supervised_scan(w, events, &interner))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| {
-                        handle.join().unwrap_or_else(|payload| ShardScan {
-                            // The supervisor wrapper itself panicked —
-                            // possible only via a pathological hook;
-                            // degrade rather than abort.
-                            report: None,
-                            restarts: 0,
-                            last_error: Some(panic_message(payload.as_ref())),
-                        })
-                    })
-                    .collect()
-            })
-        };
-        let mut merged = AnalysisReport::default();
-        let mut failures = Vec::new();
-        for (w, scan) in scans.into_iter().enumerate() {
-            let gave_up = scan.report.is_none();
-            if let Some(report) = &scan.report {
-                merged.merge(report);
-            }
-            if scan.restarts > 0 || gave_up {
-                failures.push(ShardFailureRecord {
-                    shard: w,
-                    restarts: scan.restarts,
-                    gave_up,
-                    last_error: scan.last_error.unwrap_or_default(),
-                });
-            }
-        }
-        if let Some(metrics) = &self.metrics {
-            for failure in &failures {
-                metrics.record_shard_failure(failure.clone());
-            }
-        }
-        (merged, failures)
-    }
-
-    /// Scans shard `w` of `events` with restart-on-panic supervision.
-    fn supervised_scan(
-        &self,
-        w: usize,
-        events: &[TraceEvent],
-        interner: &Arc<StrInterner>,
-    ) -> ShardScan {
-        let n = self.workers;
-        let mut restarts = 0u32;
-        let mut last_error = None;
-        loop {
-            // Fresh analyzer and private metrics per attempt: a panic
-            // poisons the analyzer mid-scan, and half-counted metrics
-            // must never leak into the shared instance.
-            let local = self
-                .metrics
-                .as_ref()
-                .map(|_| Arc::new(PipelineMetrics::default()));
-            let mut shard =
-                StreamingAnalyzer::with_interner(self.filter.clone(), Arc::clone(interner));
-            if let Some(m) = &local {
-                shard = shard.with_metrics(Arc::clone(m));
-            }
-            let scan_metrics = local.clone();
-            let hook = self.hook.clone();
-            let result = catch_unwind(AssertUnwindSafe(move || {
-                let _supervised = SupervisedScanGuard::enter();
-                let _timer = scan_metrics.as_deref().map(|m| m.time_stage("analyze"));
-                if let Some(hook) = &hook {
-                    hook(w, 0);
-                }
-                for event in events {
-                    if event.pid as usize % n == w {
-                        shard.push(event);
-                    }
-                }
-                shard.finish()
-            }));
-            match result {
-                Ok(report) => {
-                    if let (Some(shared), Some(local)) = (&self.metrics, &local) {
-                        shared.absorb(&local.snapshot());
-                        shared.absorb_stage_timings(&local.stage_timings());
-                    }
-                    return ShardScan {
-                        report: Some(report),
-                        restarts,
-                        last_error,
-                    };
-                }
-                Err(payload) => {
-                    last_error =
-                        Some(ShardError::Panicked(panic_message(payload.as_ref())).to_string());
-                    if restarts >= self.policy.max_restarts {
-                        return ShardScan {
-                            report: None,
-                            restarts,
-                            last_error,
-                        };
-                    }
-                    restarts += 1;
-                    if let Some(metrics) = &self.metrics {
-                        metrics.record_shard_restart();
-                    }
-                    std::thread::sleep(self.policy.backoff(restarts));
-                }
-            }
-        }
-    }
-}
-
-/// Outcome of one supervised one-shot shard scan.
-struct ShardScan {
-    /// The shard's report; `None` when the restart budget ran out.
-    report: Option<AnalysisReport>,
-    restarts: u32,
-    last_error: Option<String>,
-}
-
-/// A job sent to a persistent shard worker.
-enum Job {
-    /// A columnar batch of events to scan; every worker receives the
-    /// same `Arc` and keeps only its own pids.
-    Batch(Arc<EventBatch>),
-    /// A request for a materialized snapshot of the shard's report so
-    /// far, answered on the enclosed channel.
-    Snapshot(SyncSender<AnalysisReport>),
-}
-
-impl fmt::Debug for Job {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Job::Batch(batch) => f.debug_tuple("Batch").field(&batch.len()).finish(),
-            Job::Snapshot(_) => f.write_str("Snapshot"),
-        }
-    }
-}
-
-/// A worker incarnation's exit message, sent on its done channel.
-enum WorkerExit {
-    /// Clean completion: the shard's final report, its per-pid relevance
-    /// states (for checkpointing), and the incarnation's private metrics
-    /// (snapshot + stage timings) for the supervisor to absorb.
-    Finished {
-        report: Box<AnalysisReport>,
-        states: BTreeMap<u32, crate::PidStateSnapshot>,
-        counters: Option<(MetricsSnapshot, BTreeMap<String, u64>)>,
-    },
-    /// The incarnation panicked.
-    Panicked(String),
-}
+/// A worker incarnation's exit message: its output, or the panic
+/// message it died with.
+type WorkerExit = Result<Box<ShardOutput>, String>;
 
 /// One live worker incarnation as the supervisor sees it.
 struct Slot {
-    /// Job queue sender; `None` once the queue is closed (at drain time)
-    /// or the shard abandoned.
-    jobs: Option<SyncSender<Job>>,
+    /// Batch queue sender; `None` once the queue is closed (at drain
+    /// time) or the shard abandoned.
+    jobs: Option<SyncSender<Arc<EventBatch>>>,
     /// Exit-message channel from the incarnation.
     done: Receiver<WorkerExit>,
-    /// Bumped by the worker after every processed job — the liveness
+    /// Bumped by the worker after every processed batch — the liveness
     /// signal the stall watchdog reads.
     heartbeat: Arc<AtomicU64>,
     /// Batches from the supervisor's log already delivered to this
@@ -558,8 +268,8 @@ struct Slot {
 }
 
 impl Slot {
-    /// A slot whose worker could not be spawned: every interaction sees
-    /// a dead channel.
+    /// A slot with no worker behind it (abandoned, or never spawned):
+    /// every interaction sees a dead channel.
     fn dead() -> Self {
         let (_, done) = sync_channel(1);
         Slot {
@@ -571,7 +281,7 @@ impl Slot {
     }
 }
 
-/// Per-shard supervision ledger.
+/// Per-shard supervision ledger, kept for the whole run.
 #[derive(Debug, Clone, Default)]
 struct ShardSupervision {
     restarts: u32,
@@ -579,182 +289,149 @@ struct ShardSupervision {
     last_error: Option<String>,
 }
 
-/// Outcome of offering one job to a worker's queue.
-enum Offer {
-    Accepted,
-    Failed(ShardError),
+/// The stall watchdog over one slot while the supervisor waits on it:
+/// fails once the heartbeat has not moved for the policy's timeout.
+struct Watchdog<'a> {
+    heartbeat: &'a AtomicU64,
+    limit: Option<Duration>,
+    last_beat: u64,
+    progress_at: Instant,
+}
+
+impl<'a> Watchdog<'a> {
+    fn new(slot: &'a Slot, limit: Option<Duration>) -> Self {
+        Watchdog {
+            heartbeat: &slot.heartbeat,
+            limit,
+            last_beat: slot.heartbeat.load(Ordering::Relaxed),
+            progress_at: Instant::now(),
+        }
+    }
+
+    fn check(&mut self) -> Result<(), ShardError> {
+        let Some(limit) = self.limit else {
+            return Ok(());
+        };
+        let beat = self.heartbeat.load(Ordering::Relaxed);
+        if beat != self.last_beat {
+            self.last_beat = beat;
+            self.progress_at = Instant::now();
+        } else if self.progress_at.elapsed() >= limit {
+            return Err(ShardError::Stalled {
+                waited: self.progress_at.elapsed(),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// The loop run by each persistent shard thread: drain batches (keeping
-/// only `pid % n == w`), answer snapshot requests, and return the
-/// shard's final report when the job channel closes.
+/// only `pid % n == w`) until the queue closes, then hand back the
+/// shard's report and pid states.
 fn worker_loop(
     w: usize,
     n: usize,
     mut shard: StreamingAnalyzer,
-    jobs: Receiver<Job>,
+    jobs: Receiver<Arc<EventBatch>>,
     metrics: Option<Arc<PipelineMetrics>>,
     heartbeat: Arc<AtomicU64>,
     hook: Option<ShardHook>,
-) -> (AnalysisReport, BTreeMap<u32, crate::PidStateSnapshot>) {
+) -> (AnalysisReport, PidStates) {
     let mut tick = 0u64;
-    while let Ok(job) = jobs.recv() {
-        match job {
-            Job::Batch(batch) => {
-                if let Some(hook) = &hook {
-                    hook(w, tick);
-                }
-                tick += 1;
-                // Each worker times its own scan, so the "analyze" stage
-                // total is summed across shards (CPU time, not wall
-                // clock).
-                let _timer = metrics.as_deref().map(|m| m.time_stage("analyze"));
-                // Walk the shared columns by reference: no owned event
-                // is materialized on the worker side either.
-                for event in batch.iter() {
-                    if event.pid() as usize % n == w {
-                        shard.push(&event);
-                    }
-                }
-                heartbeat.fetch_add(1, Ordering::Relaxed);
-            }
-            Job::Snapshot(reply) => {
-                let _ = reply.send(shard.report());
-                heartbeat.fetch_add(1, Ordering::Relaxed);
+    while let Ok(batch) = jobs.recv() {
+        if let Some(hook) = &hook {
+            hook(w, tick);
+        }
+        tick += 1;
+        // Each worker times its own scan, so the "analyze" stage total
+        // is summed across shards (CPU time, not wall clock).
+        let _timer = metrics.as_deref().map(|m| m.time_stage("analyze"));
+        // Walk the shared columns by reference: no owned event is
+        // materialized on the worker side either.
+        for event in batch.iter() {
+            if event.pid() as usize % n == w {
+                shard.push(&event);
             }
         }
+        heartbeat.fetch_add(1, Ordering::Relaxed);
     }
     heartbeat.fetch_add(1, Ordering::Relaxed);
     let states = shard.pid_states();
     (shard.finish(), states)
 }
 
-/// A chunked parallel analyzer: N **persistent** worker threads, each
-/// owning a [`StreamingAnalyzer`] shard for the pids with
-/// `pid % N == shard index`, supervised per [`SupervisorPolicy`].
+/// The supervised pool: N **persistent** worker threads, each owning a
+/// [`StreamingAnalyzer`] shard for the pids with `pid % N == shard
+/// index`, plus the cumulative report and pid states of every completed
+/// cut.
 ///
-/// Shard state survives across [`push_all`](Self::push_all) /
-/// [`push_owned`](Self::push_owned) calls, so feeding a long trace
-/// chunk-by-chunk preserves descriptor provenance exactly like a single
-/// serial [`StreamingAnalyzer`] would. Worker threads are spawned
-/// lazily on the first dispatched batch and live until
-/// [`finish`](Self::finish); batches travel over bounded channels of
-/// depth [`PIPELINE_DEPTH`], so the caller can parse chunk *k + 1*
-/// while the workers analyze chunk *k*. Every dispatched batch is
-/// retained (`Arc`-shared) as the replay log: a shard that panics or
-/// stalls is restarted with a fresh analyzer and replayed from batch 0,
-/// reproducing the exact per-shard event sequence.
-pub struct ParallelStreamingAnalyzer {
+/// Shard state survives across [`push`](Self::push) calls, so feeding a
+/// long trace batch by batch preserves descriptor provenance exactly
+/// like a single serial [`StreamingAnalyzer`] would. A shard that
+/// panics or stalls is restarted with a fresh analyzer and replayed
+/// from the first batch since the last cut, reproducing the exact
+/// per-shard event sequence.
+pub(crate) struct ParallelStreamingAnalyzer {
     filter: TraceFilter,
     nworkers: usize,
     interner: Arc<StrInterner>,
     metrics: Option<Arc<PipelineMetrics>>,
     policy: SupervisorPolicy,
     hook: Option<ShardHook>,
-    /// Live incarnations; empty until the first batch dispatch.
+    /// Live incarnations; empty until the first dispatch after
+    /// construction or a cut.
     slots: Vec<Slot>,
-    /// Every batch ever dispatched, in order — the replay log.
+    /// Every batch dispatched since the last cut, in order — the replay
+    /// log.
     batch_log: Vec<Arc<EventBatch>>,
-    /// Per-shard restart ledger.
+    /// Per-shard restart ledger over the whole run.
     supervision: Vec<ShardSupervision>,
-    /// Caller-side coalescing buffer for chunks below
-    /// [`PARALLEL_THRESHOLD`], packed columnar like everything else.
+    /// Caller-side coalescing buffer for batches below
+    /// [`PARALLEL_THRESHOLD`].
     pending: EventBatch,
-    /// Checkpoint-restored per-pid relevance states; each shard
+    /// Reports merged out of previous cuts (and a resumed checkpoint).
+    base_report: AnalysisReport,
+    /// Per-pid relevance states at the last cut (or resume); each shard
     /// incarnation restores its `pid % N == shard` subset before
-    /// scanning (including supervised respawns, which replay on top of
-    /// the same base).
-    base_states: BTreeMap<u32, crate::PidStateSnapshot>,
-}
-
-impl fmt::Debug for ParallelStreamingAnalyzer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParallelStreamingAnalyzer")
-            .field("workers", &self.nworkers)
-            .field("policy", &self.policy)
-            .field("batches", &self.batch_log.len())
-            .field("pending", &self.pending.len())
-            .finish_non_exhaustive()
-    }
+    /// scanning, supervised respawns included.
+    base_states: PidStates,
 }
 
 impl ParallelStreamingAnalyzer {
-    /// Creates a pool of `workers` persistent shards (clamped to at
-    /// least 1) over clones of `filter`. Threads are spawned on the
-    /// first dispatched batch, not here, so a pool that never sees a
-    /// large chunk costs one spawn per shard total.
-    #[must_use]
-    pub fn new(filter: TraceFilter, workers: usize) -> Self {
+    /// A pool of `workers` shards (clamped to at least 1) over clones of
+    /// `filter`; `resume` seeds the cumulative report and pid states
+    /// from a checkpoint. Threads are spawned on the first dispatched
+    /// batch, not here.
+    pub(crate) fn new(
+        filter: TraceFilter,
+        workers: usize,
+        metrics: Option<Arc<PipelineMetrics>>,
+        policy: SupervisorPolicy,
+        hook: Option<ShardHook>,
+        resume: Option<(AnalysisReport, PidStates)>,
+    ) -> Self {
         let nworkers = workers.max(1);
+        let (base_report, base_states) = resume.unwrap_or_default();
         ParallelStreamingAnalyzer {
             filter,
             nworkers,
             interner: Arc::new(StrInterner::new()),
-            metrics: None,
-            policy: SupervisorPolicy::default(),
-            hook: None,
+            metrics,
+            policy,
+            hook,
             slots: Vec::new(),
             batch_log: Vec::new(),
             supervision: vec![ShardSupervision::default(); nworkers],
             pending: EventBatch::new(),
-            base_states: BTreeMap::new(),
+            base_report,
+            base_states,
         }
-    }
-
-    /// Seeds every shard with checkpoint-restored per-pid relevance
-    /// states (each worker restores only its own pids). Must be called
-    /// before the first push.
-    #[must_use]
-    pub fn with_base_states(mut self, states: BTreeMap<u32, crate::PidStateSnapshot>) -> Self {
-        debug_assert!(
-            self.slots.is_empty(),
-            "set base states before pushing events"
-        );
-        self.base_states = states;
-        self
-    }
-
-    /// Attaches shared pipeline metrics to every shard. Must be called
-    /// before the first push — workers capture the metrics handle when
-    /// they spawn.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: Arc<PipelineMetrics>) -> Self {
-        debug_assert!(
-            self.slots.is_empty(),
-            "attach metrics before pushing events"
-        );
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Overrides the supervision policy. Must be called before the
-    /// first push.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SupervisorPolicy) -> Self {
-        debug_assert!(self.slots.is_empty(), "set policy before pushing events");
-        self.policy = policy;
-        self
-    }
-
-    /// Installs a worker progress hook (fault injection). Must be
-    /// called before the first push.
-    #[must_use]
-    pub fn with_hook(mut self, hook: ShardHook) -> Self {
-        debug_assert!(self.slots.is_empty(), "set hook before pushing events");
-        self.hook = Some(hook);
-        self
-    }
-
-    /// The worker count.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.nworkers
     }
 
     /// Spawns one fresh worker incarnation for shard `w`.
     fn spawn_slot(&self, w: usize) -> std::io::Result<Slot> {
         let n = self.nworkers;
-        let (jobs, queue) = sync_channel::<Job>(PIPELINE_DEPTH);
+        let (jobs, queue) = sync_channel::<Arc<EventBatch>>(PIPELINE_DEPTH);
         let (done_tx, done) = sync_channel::<WorkerExit>(1);
         let heartbeat = Arc::new(AtomicU64::new(0));
         // Filter cloned per incarnation: the worker thread owns its
@@ -766,7 +443,7 @@ impl ParallelStreamingAnalyzer {
             // Cloned, not moved: the base states must survive as the
             // seed for every *future* incarnation of this shard — a
             // supervised respawn replays the log on the same base.
-            let subset: BTreeMap<u32, crate::PidStateSnapshot> = self
+            let subset: PidStates = self
                 .base_states
                 .iter()
                 .filter(|(&pid, _)| pid as usize % n == w)
@@ -775,7 +452,7 @@ impl ParallelStreamingAnalyzer {
             shard.restore_pid_states(&subset);
         }
         // Private metrics per incarnation; absorbed by the supervisor
-        // only on clean completion (see WorkerExit::Finished).
+        // only on clean completion.
         let local = self
             .metrics
             .as_ref()
@@ -793,14 +470,15 @@ impl ParallelStreamingAnalyzer {
                     let _supervised = SupervisedScanGuard::enter();
                     worker_loop(w, n, shard, queue, loop_metrics, beat, hook)
                 }));
-                let exit = match result {
-                    Ok((report, states)) => WorkerExit::Finished {
-                        report: Box::new(report),
-                        states,
-                        counters: local.map(|m| (m.snapshot(), m.stage_timings())),
-                    },
-                    Err(payload) => WorkerExit::Panicked(panic_message(payload.as_ref())),
-                };
+                let exit = result
+                    .map(|(report, states)| {
+                        Box::new(ShardOutput {
+                            report,
+                            states,
+                            counters: local.map(|m| (m.snapshot(), m.stage_timings())),
+                        })
+                    })
+                    .map_err(|payload| panic_message(payload.as_ref()));
                 let _ = done_tx.send(exit);
             })?;
         Ok(Slot {
@@ -811,57 +489,51 @@ impl ParallelStreamingAnalyzer {
         })
     }
 
-    /// Spawns shard `w`, burning restart budget on spawn failure; a
-    /// shard whose worker cannot be spawned at all gives up with a dead
-    /// slot instead of aborting the run.
+    /// Spawns shard `w`, burning restart budget on spawn failure. A
+    /// shard that has given up, or whose worker cannot be spawned at
+    /// all, gets a dead slot instead of aborting the run.
     fn spawned_slot(&mut self, w: usize) -> Slot {
-        loop {
+        while !self.supervision[w].gave_up {
             match self.spawn_slot(w) {
                 Ok(slot) => return slot,
-                Err(e) => {
-                    self.supervision[w].last_error = Some(format!("spawn shard worker: {e}"));
-                    if self.supervision[w].restarts >= self.policy.max_restarts {
-                        self.supervision[w].gave_up = true;
-                        return Slot::dead();
-                    }
-                    self.supervision[w].restarts += 1;
-                    if let Some(metrics) = &self.metrics {
-                        metrics.record_shard_restart();
-                    }
-                    std::thread::sleep(self.policy.backoff(self.supervision[w].restarts));
-                }
+                Err(e) => self.record_failure(w, format!("spawn shard worker: {e}")),
             }
         }
+        Slot::dead()
     }
 
-    /// Offers one job to shard `w`, spinning on a full queue (with the
+    /// Records a failure of shard `w`: charges a restart (with backoff)
+    /// or, once the budget is spent, abandons the shard.
+    fn record_failure(&mut self, w: usize, error: String) {
+        let ledger = &mut self.supervision[w];
+        ledger.last_error = Some(error);
+        if ledger.restarts >= self.policy.max_restarts {
+            ledger.gave_up = true;
+            return;
+        }
+        ledger.restarts += 1;
+        let restarts = ledger.restarts;
+        if let Some(metrics) = &self.metrics {
+            metrics.record_shard_restart();
+        }
+        std::thread::sleep(self.policy.backoff(restarts));
+    }
+
+    /// Offers one batch to shard `w`, spinning on a full queue (with the
     /// stall watchdog active) and detecting a dead worker.
-    fn offer_job(&self, w: usize, mut job: Job) -> Offer {
+    fn offer(&self, w: usize, mut batch: Arc<EventBatch>) -> Result<(), ShardError> {
         let slot = &self.slots[w];
         let Some(jobs) = &slot.jobs else {
-            return Offer::Failed(ShardError::Panicked("worker unavailable".into()));
+            return Err(ShardError::Panicked("worker unavailable".into()));
         };
-        let mut last_beat = slot.heartbeat.load(Ordering::Relaxed);
-        let mut progress_at = Instant::now();
+        let mut watchdog = Watchdog::new(slot, self.policy.shard_timeout);
         loop {
-            match jobs.try_send(job) {
-                Ok(()) => return Offer::Accepted,
-                Err(TrySendError::Disconnected(_)) => {
-                    return Offer::Failed(self.reap_exit(w));
-                }
+            match jobs.try_send(batch) {
+                Ok(()) => return Ok(()),
+                Err(TrySendError::Disconnected(_)) => return Err(self.reap_exit(w)),
                 Err(TrySendError::Full(back)) => {
-                    job = back;
-                    if let Some(limit) = self.policy.shard_timeout {
-                        let beat = slot.heartbeat.load(Ordering::Relaxed);
-                        if beat != last_beat {
-                            last_beat = beat;
-                            progress_at = Instant::now();
-                        } else if progress_at.elapsed() >= limit {
-                            return Offer::Failed(ShardError::Stalled {
-                                waited: progress_at.elapsed(),
-                            });
-                        }
-                    }
+                    batch = back;
+                    watchdog.check()?;
                     std::thread::sleep(Duration::from_micros(200));
                 }
             }
@@ -870,95 +542,25 @@ impl ParallelStreamingAnalyzer {
 
     /// Fetches the exit message of a worker whose queue disconnected.
     fn reap_exit(&self, w: usize) -> ShardError {
-        // The worker drops its queue receiver (disconnecting us) during
-        // unwind, then sends its exit message; give it a moment.
         match self.slots[w].done.recv_timeout(Duration::from_secs(5)) {
-            Ok(WorkerExit::Panicked(msg)) => ShardError::Panicked(msg),
-            Ok(WorkerExit::Finished { .. }) => {
-                ShardError::Panicked("worker exited before its queue closed".into())
-            }
+            Ok(Err(msg)) => ShardError::Panicked(msg),
+            Ok(Ok(_)) => ShardError::Panicked("worker exited before its queue closed".into()),
             Err(_) => ShardError::Panicked("worker terminated without reporting".into()),
         }
-    }
-
-    /// Drains the pool like [`finish_with_failures`], additionally
-    /// returning the merged per-pid relevance states at the drain point
-    /// (the union of the disjoint per-shard maps) — everything a
-    /// checkpoint needs to seed a successor pool via
-    /// [`with_base_states`](Self::with_base_states). A pool that never
-    /// dispatched a batch passes its base states through unchanged.
-    ///
-    /// [`finish_with_failures`]: Self::finish_with_failures
-    #[must_use]
-    #[allow(clippy::type_complexity)]
-    pub fn finish_with_states(
-        mut self,
-    ) -> (
-        AnalysisReport,
-        Vec<ShardFailureRecord>,
-        BTreeMap<u32, crate::PidStateSnapshot>,
-    ) {
-        self.flush_pending();
-        let mut merged = AnalysisReport::default();
-        let mut states = std::mem::take(&mut self.base_states);
-        if !self.slots.is_empty() {
-            let target = self.batch_log.len();
-            for w in 0..self.nworkers {
-                loop {
-                    self.deliver_up_to(w, target);
-                    if self.supervision[w].gave_up {
-                        break;
-                    }
-                    // Close this incarnation's queue so it can finish.
-                    self.slots[w].jobs = None;
-                    match self.await_exit(w) {
-                        Ok((report, shard_states, counters)) => {
-                            merged.merge(&report);
-                            // The worker's map already contains its
-                            // restored base subset, so extend replaces
-                            // exactly this shard's pids.
-                            states.extend(shard_states);
-                            if let (Some(shared), Some((snapshot, timings))) =
-                                (&self.metrics, counters)
-                            {
-                                shared.absorb(&snapshot);
-                                shared.absorb_stage_timings(&timings);
-                            }
-                            break;
-                        }
-                        Err(error) => self.recover(w, &error),
-                    }
-                }
-            }
-        }
-        let failures = self.manifest();
-        if let Some(metrics) = &self.metrics {
-            for failure in &failures {
-                metrics.record_shard_failure(failure.clone());
-            }
-        }
-        (merged, failures, states)
     }
 
     /// Records a failure for shard `w` and either respawns a fresh
     /// incarnation (the caller replays the log into it) or abandons the
     /// shard once the restart budget is spent.
     fn recover(&mut self, w: usize, error: &ShardError) {
-        self.supervision[w].last_error = Some(error.to_string());
-        if self.supervision[w].restarts >= self.policy.max_restarts {
-            self.supervision[w].gave_up = true;
-            // Abandon: dropping the sender lets a live-but-stalled
-            // incarnation drain and exit on its own; its report is
-            // discarded.
-            self.slots[w].jobs = None;
-            return;
+        // Abandon the failed incarnation: dropping the sender lets a
+        // live-but-stalled one drain and exit on its own; its report is
+        // discarded.
+        self.slots[w].jobs = None;
+        self.record_failure(w, error.to_string());
+        if !self.supervision[w].gave_up {
+            self.slots[w] = self.spawned_slot(w);
         }
-        self.supervision[w].restarts += 1;
-        if let Some(metrics) = &self.metrics {
-            metrics.record_shard_restart();
-        }
-        std::thread::sleep(self.policy.backoff(self.supervision[w].restarts));
-        self.slots[w] = self.spawned_slot(w);
     }
 
     /// Delivers log batches to shard `w` until its incarnation has seen
@@ -966,56 +568,27 @@ impl ParallelStreamingAnalyzer {
     fn deliver_up_to(&mut self, w: usize, target: usize) {
         while !self.supervision[w].gave_up && self.slots[w].sent < target {
             let idx = self.slots[w].sent;
-            match self.offer_job(w, Job::Batch(Arc::clone(&self.batch_log[idx]))) {
-                Offer::Accepted => self.slots[w].sent = idx + 1,
-                Offer::Failed(error) => self.recover(w, &error),
+            match self.offer(w, Arc::clone(&self.batch_log[idx])) {
+                Ok(()) => self.slots[w].sent = idx + 1,
+                Err(error) => self.recover(w, &error),
             }
         }
     }
 
     /// Waits for shard `w`'s incarnation to exit after its queue was
     /// closed, watching for stalls.
-    #[allow(clippy::type_complexity)]
-    fn await_exit(
-        &self,
-        w: usize,
-    ) -> Result<
-        (
-            Box<AnalysisReport>,
-            BTreeMap<u32, crate::PidStateSnapshot>,
-            Option<(MetricsSnapshot, BTreeMap<String, u64>)>,
-        ),
-        ShardError,
-    > {
+    fn await_exit(&self, w: usize) -> Result<Box<ShardOutput>, ShardError> {
         let slot = &self.slots[w];
-        let mut last_beat = slot.heartbeat.load(Ordering::Relaxed);
-        let mut progress_at = Instant::now();
+        let mut watchdog = Watchdog::new(slot, self.policy.shard_timeout);
         loop {
             match slot.done.recv_timeout(Duration::from_millis(20)) {
-                Ok(WorkerExit::Finished {
-                    report,
-                    states,
-                    counters,
-                }) => return Ok((report, states, counters)),
-                Ok(WorkerExit::Panicked(msg)) => return Err(ShardError::Panicked(msg)),
+                Ok(exit) => return exit.map_err(ShardError::Panicked),
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(ShardError::Panicked(
                         "worker terminated without reporting".into(),
                     ))
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(limit) = self.policy.shard_timeout {
-                        let beat = slot.heartbeat.load(Ordering::Relaxed);
-                        if beat != last_beat {
-                            last_beat = beat;
-                            progress_at = Instant::now();
-                        } else if progress_at.elapsed() >= limit {
-                            return Err(ShardError::Stalled {
-                                waited: progress_at.elapsed(),
-                            });
-                        }
-                    }
-                }
+                Err(RecvTimeoutError::Timeout) => watchdog.check()?,
             }
         }
     }
@@ -1035,21 +608,12 @@ impl ParallelStreamingAnalyzer {
         }
     }
 
-    /// Dispatches the coalescing buffer, if non-empty.
-    fn flush_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let batch = Arc::new(std::mem::take(&mut self.pending));
-        self.dispatch(batch);
-    }
-
-    /// Consumes one columnar batch — the zero-copy hot path from the
-    /// decode stage: a batch of at least [`PARALLEL_THRESHOLD`] events
-    /// is wrapped in an `Arc` and broadcast as-is (one refcount bump
-    /// per shard); smaller batches are coalesced column-to-column and
-    /// dispatched once the buffer reaches the threshold.
-    pub fn push_shared(&mut self, batch: EventBatch) {
+    /// Consumes one columnar batch: a batch of at least
+    /// [`PARALLEL_THRESHOLD`] events is wrapped in an `Arc` and
+    /// broadcast as is (one refcount bump per shard); smaller batches
+    /// are coalesced column-to-column and dispatched once the buffer
+    /// reaches the threshold.
+    pub(crate) fn push(&mut self, batch: EventBatch) {
         if self.pending.is_empty() && batch.len() >= PARALLEL_THRESHOLD {
             self.dispatch(Arc::new(batch));
             return;
@@ -1060,144 +624,70 @@ impl ParallelStreamingAnalyzer {
         }
     }
 
-    /// Consumes one owned chunk of events, packing it into batch
-    /// columns before dispatch.
-    pub fn push_owned(&mut self, events: Vec<TraceEvent>) {
-        if self.pending.is_empty() && events.len() >= PARALLEL_THRESHOLD {
-            self.dispatch(Arc::new(EventBatch::from_events(&events)));
-            return;
-        }
-        for event in &events {
-            self.pending.push_event(event);
-        }
-        if self.pending.len() >= PARALLEL_THRESHOLD {
-            self.flush_pending();
+    /// Dispatches the coalescing buffer, if non-empty.
+    fn flush_pending(&mut self) {
+        if !self.pending.is_empty() {
+            let batch = Arc::new(std::mem::take(&mut self.pending));
+            self.dispatch(batch);
         }
     }
 
-    /// Consumes a stream of owned events, coalescing into
-    /// [`PARALLEL_THRESHOLD`]-sized batches.
-    pub fn push_batch(&mut self, events: impl IntoIterator<Item = TraceEvent>) {
-        for event in events {
-            self.pending.push_event(&event);
-        }
-        if self.pending.len() >= PARALLEL_THRESHOLD {
-            self.flush_pending();
-        }
-    }
-
-    /// Consumes one chunk of borrowed events. Events are packed into
-    /// the coalescing batch's columns directly — unlike the former
-    /// `Arc<Vec<TraceEvent>>` design, no per-event `TraceEvent` clone
-    /// (name `String` + args `Vec` + path `String`s) is made to outlive
-    /// the borrow.
-    pub fn push_all(&mut self, events: &[TraceEvent]) {
-        for event in events {
-            self.pending.push_event(event);
-        }
-        if self.pending.len() >= PARALLEL_THRESHOLD {
-            self.flush_pending();
-        }
-    }
-
-    /// Drains the pool and returns the merged report. Equivalent to
-    /// [`finish_with_failures`](Self::finish_with_failures) with the
-    /// manifest discarded (it is still recorded in the attached metrics,
-    /// if any). A degraded run returns the partial report — never
-    /// panics.
-    #[must_use]
-    pub fn finish(self) -> AnalysisReport {
-        self.finish_with_failures().0
-    }
-
-    /// Drains the pool: flushes the coalescing buffer, closes every job
-    /// queue, collects the shard reports, and merges them in shard
-    /// order — supervising throughout. A shard that panics or stalls at
-    /// any point (including during the final drain) is restarted with
-    /// backoff and replayed from the batch log; a shard that exhausts
-    /// its restart budget is reported in the returned manifest (also
-    /// recorded in the attached metrics) and omitted from the merged
-    /// report.
-    #[must_use]
-    pub fn finish_with_failures(self) -> (AnalysisReport, Vec<ShardFailureRecord>) {
-        let (merged, failures, _) = self.finish_with_states();
-        (merged, failures)
-    }
-
-    /// A merged snapshot of the report so far (the stream may
-    /// continue). Flushes the coalescing buffer and waits for every
-    /// worker to answer a snapshot request, so the result reflects all
-    /// events pushed before the call — restarting and replaying shards
-    /// that fail along the way.
-    #[must_use]
-    pub fn report(&mut self) -> AnalysisReport {
+    /// Drains the pool into the cumulative base: flushes the coalescing
+    /// buffer, closes every queue, and merges each shard's report and
+    /// pid states in shard order — supervising throughout. A shard that
+    /// panics or stalls at any point (the drain included) is restarted
+    /// and replayed; an abandoned shard contributes nothing. The
+    /// supervision ledger survives; the next batch spawns successors.
+    fn drain(&mut self) {
         self.flush_pending();
-        let mut merged = AnalysisReport::default();
-        if self.slots.is_empty() {
-            return merged;
-        }
         let target = self.batch_log.len();
-        for w in 0..self.nworkers {
+        for w in 0..self.slots.len() {
             loop {
                 self.deliver_up_to(w, target);
                 if self.supervision[w].gave_up {
                     break;
                 }
-                let (reply_tx, reply_rx) = sync_channel(1);
-                match self.offer_job(w, Job::Snapshot(reply_tx)) {
-                    Offer::Failed(error) => {
-                        self.recover(w, &error);
-                        continue;
-                    }
-                    Offer::Accepted => {}
-                }
-                match self.await_snapshot(w, &reply_rx) {
-                    Ok(report) => {
-                        merged.merge(&report);
+                // Close this incarnation's queue so it can finish.
+                self.slots[w].jobs = None;
+                match self.await_exit(w) {
+                    Ok(output) => {
+                        self.base_report.merge(&output.report);
+                        // The worker's map already contains its
+                        // restored base subset, so extend replaces
+                        // exactly this shard's pids.
+                        self.base_states.extend(output.states);
+                        if let (Some(shared), Some((snapshot, timings))) =
+                            (&self.metrics, output.counters)
+                        {
+                            shared.absorb(&snapshot);
+                            shared.absorb_stage_timings(&timings);
+                        }
                         break;
                     }
                     Err(error) => self.recover(w, &error),
                 }
             }
         }
-        merged
+        self.slots.clear();
+        self.batch_log.clear();
     }
 
-    /// Waits for a snapshot reply from shard `w`, watching for stalls
-    /// and for the worker dying mid-snapshot.
-    fn await_snapshot(
-        &self,
-        w: usize,
-        reply: &Receiver<AnalysisReport>,
-    ) -> Result<AnalysisReport, ShardError> {
-        let slot = &self.slots[w];
-        let mut last_beat = slot.heartbeat.load(Ordering::Relaxed);
-        let mut progress_at = Instant::now();
-        loop {
-            match reply.recv_timeout(Duration::from_millis(20)) {
-                Ok(report) => return Ok(report),
-                Err(RecvTimeoutError::Disconnected) => return Err(self.reap_exit(w)),
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(limit) = self.policy.shard_timeout {
-                        let beat = slot.heartbeat.load(Ordering::Relaxed);
-                        if beat != last_beat {
-                            last_beat = beat;
-                            progress_at = Instant::now();
-                        } else if progress_at.elapsed() >= limit {
-                            return Err(ShardError::Stalled {
-                                waited: progress_at.elapsed(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
+    /// A checkpoint cut: the cumulative report and per-pid relevance
+    /// states over everything pushed so far. Subsequent pushes continue
+    /// seamlessly.
+    pub(crate) fn cut(&mut self) -> (AnalysisReport, PidStates) {
+        self.drain();
+        (self.base_report.clone(), self.base_states.clone())
     }
 
-    /// The shard-failure manifest: one record per shard that needed
-    /// restarting, in shard order.
-    fn manifest(&self) -> Vec<ShardFailureRecord> {
-        self.supervision
+    /// Drains the pool: the final report and the shard-failure manifest
+    /// (one record per shard that needed restarting, in shard order,
+    /// also recorded once in the attached metrics). A degraded run
+    /// returns the partial report — never panics.
+    pub(crate) fn finish(mut self) -> (AnalysisReport, Vec<ShardFailureRecord>) {
+        self.drain();
+        let failures: Vec<ShardFailureRecord> = self
+            .supervision
             .iter()
             .enumerate()
             .filter(|(_, s)| s.restarts > 0 || s.gave_up)
@@ -1207,14 +697,19 @@ impl ParallelStreamingAnalyzer {
                 gave_up: s.gave_up,
                 last_error: s.last_error.clone().unwrap_or_default(),
             })
-            .collect()
+            .collect();
+        if let Some(metrics) = &self.metrics {
+            for failure in &failures {
+                metrics.record_shard_failure(failure.clone());
+            }
+        }
+        (self.base_report, failures)
     }
 }
 
-/// Chunks smaller than this are coalesced in the caller's buffer before
-/// dispatch ([`ParallelStreamingAnalyzer`]) or analyzed on the calling
-/// thread ([`ParallelAnalyzer`]); per-batch dispatch (or thread spawn)
-/// costs more than analyzing this few events.
+/// Batches smaller than this are coalesced in the pool's caller-side
+/// buffer before dispatch; per-batch dispatch costs more than analyzing
+/// this few events.
 pub const PARALLEL_THRESHOLD: usize = 1024;
 
 /// Bounded depth of each worker's job queue: the caller may run at most
@@ -1222,14 +717,19 @@ pub const PARALLEL_THRESHOLD: usize = 1024;
 pub const PIPELINE_DEPTH: usize = 2;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    //! Supervision and equivalence through the one execution path: an
+    //! [`AnalysisSession`] at one worker and at several.
+
     use super::*;
+    use crate::pipeline::PipelineBuilder;
+    use crate::session::AnalysisSession;
     use crate::{Analyzer, ArgName};
-    use iocov_trace::ArgValue;
+    use iocov_trace::{ArgValue, Trace, TraceEvent};
 
     /// A multi-pid trace exercising every provenance rule: opens, dups,
     /// renames, chdir, interleaved across `pids` processes.
-    fn multi_pid_trace(pids: u32, per_pid: usize) -> Vec<TraceEvent> {
+    pub(crate) fn multi_pid_trace(pids: u32, per_pid: usize) -> Vec<TraceEvent> {
         let mut events = Vec::new();
         for round in 0..per_pid {
             for pid in 0..pids {
@@ -1294,6 +794,10 @@ mod tests {
         events
     }
 
+    pub(crate) fn filter() -> TraceFilter {
+        TraceFilter::mount_point("/mnt/test").unwrap()
+    }
+
     /// A hook that panics the first `times` times shard `shard` reaches
     /// tick `tick`, then disarms (mirrors `iocov_faults::PanicSchedule`,
     /// which this crate cannot depend on).
@@ -1314,6 +818,52 @@ mod tests {
             max_backoff: Duration::from_millis(2),
             shard_timeout: None,
         }
+    }
+
+    /// A session at `jobs` workers under `policy`, with an optional
+    /// fault hook and shared metrics.
+    fn session(
+        jobs: usize,
+        policy: SupervisorPolicy,
+        hook: Option<ShardHook>,
+        metrics: Option<&Arc<PipelineMetrics>>,
+    ) -> AnalysisSession {
+        let mut builder = PipelineBuilder::new(filter()).jobs(jobs).policy(policy);
+        if let Some(hook) = hook {
+            builder = builder.hook(hook);
+        }
+        if let Some(m) = metrics {
+            builder = builder.metrics(Arc::clone(m));
+        }
+        builder.build_session()
+    }
+
+    /// Feeds `events` in `chunk`-sized owned batches and finishes.
+    fn run(
+        mut session: AnalysisSession,
+        events: &[TraceEvent],
+        chunk: usize,
+    ) -> (AnalysisReport, Vec<ShardFailureRecord>) {
+        for part in events.chunks(chunk) {
+            session.feed_owned(part.to_vec());
+        }
+        session.finish()
+    }
+
+    fn serial(events: &[TraceEvent]) -> String {
+        let trace = Trace::from_events(events.to_vec());
+        serde_json::to_string(&Analyzer::new(filter()).analyze(&trace)).unwrap()
+    }
+
+    /// The serial report over the events of every shard except
+    /// `failed` — what a run that abandoned that shard must report.
+    fn serial_without_shard(events: &[TraceEvent], jobs: usize, failed: usize) -> String {
+        let kept: Vec<TraceEvent> = events
+            .iter()
+            .filter(|e| e.pid as usize % jobs != failed)
+            .cloned()
+            .collect();
+        serial(&kept)
     }
 
     #[test]
@@ -1342,52 +892,54 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_at_every_worker_count() {
-        let events = multi_pid_trace(5, 4);
-        let trace = Trace::from_events(events);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = Analyzer::new(filter.clone()).analyze(&trace);
+    fn session_matches_serial_at_every_worker_count() {
+        // Small chunks exercise the coalescing buffer; threshold-sized
+        // ones the direct broadcast. 8 workers over 7 pids leaves one
+        // shard idle.
+        let events = multi_pid_trace(7, 60);
+        assert!(events.len() >= 2 * PARALLEL_THRESHOLD);
+        let expected = serial(&events);
         for workers in 1..=8 {
-            let parallel = ParallelAnalyzer::new(filter.clone(), workers).analyze(&trace);
-            assert_eq!(serial, parallel, "diverged at {workers} workers");
+            for chunk in [7, PARALLEL_THRESHOLD] {
+                let (report, failures) =
+                    run(session(workers, fast_policy(), None, None), &events, chunk);
+                assert!(failures.is_empty());
+                assert_eq!(
+                    expected,
+                    serde_json::to_string(&report).unwrap(),
+                    "diverged at {workers} workers, chunk {chunk}"
+                );
+            }
         }
     }
 
     #[test]
-    fn parallel_serializes_identically_to_serial() {
-        let trace = Trace::from_events(multi_pid_trace(3, 3));
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = serde_json::to_string(&Analyzer::new(filter.clone()).analyze(&trace)).unwrap();
-        let parallel =
-            serde_json::to_string(&ParallelAnalyzer::new(filter, 4).analyze(&trace)).unwrap();
-        assert_eq!(serial, parallel, "reports must be byte-identical");
-    }
-
-    #[test]
-    fn more_workers_than_pids_is_fine() {
-        let trace = Trace::from_events(multi_pid_trace(2, 2));
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = Analyzer::new(filter.clone()).analyze(&trace);
-        let parallel = ParallelAnalyzer::new(filter, 8).analyze(&trace);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn zero_workers_clamps_to_one() {
-        let analyzer = ParallelAnalyzer::unfiltered(0);
-        assert_eq!(analyzer.workers(), 1);
-        assert_eq!(
-            ParallelStreamingAnalyzer::new(TraceFilter::keep_all(), 0).workers(),
-            1
+        let pool = ParallelStreamingAnalyzer::new(
+            TraceFilter::keep_all(),
+            0,
+            None,
+            SupervisorPolicy::default(),
+            None,
+            None,
         );
+        assert_eq!(pool.nworkers, 1);
     }
 
     #[test]
-    fn chunked_parallel_keeps_provenance_across_chunks() {
-        // fd opened in chunk 1, duplicated in chunk 2, written via the
-        // duplicate in chunk 3: per-chunk batch analysis would lose the
-        // attribution, the sharded streaming analyzer must not.
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
+    fn empty_session_finishes_to_default_report() {
+        for jobs in [1, 4] {
+            let (report, failures) = session(jobs, fast_policy(), None, None).finish();
+            assert_eq!(report, AnalysisReport::default());
+            assert!(failures.is_empty());
+        }
+    }
+
+    #[test]
+    fn provenance_survives_batch_boundaries() {
+        // fd opened in batch 1, duplicated in batch 2, written via the
+        // duplicate in batch 3: per-batch analysis would lose the
+        // attribution, the sharded session must not.
         let mut open = TraceEvent::build(
             "open",
             2,
@@ -1408,339 +960,240 @@ mod tests {
             128,
         );
         write.pid = 6;
-
-        let mut sharded = ParallelStreamingAnalyzer::new(filter, 4);
-        sharded.push_all(&[open]);
-        sharded.push_all(&[dup]);
-        sharded.push_all(&[write]);
-        let report = sharded.finish();
-        assert_eq!(report.input_coverage(ArgName::WriteCount).calls, 1);
-        assert_eq!(report.filter_stats.kept, 3);
+        for jobs in [1, 4] {
+            let mut session = session(jobs, fast_policy(), None, None);
+            for event in [&open, &dup, &write] {
+                session.feed_owned(vec![event.clone()]);
+                // A cut between batches must not lose the state either.
+                let _ = session.cut();
+            }
+            let (report, _) = session.finish();
+            assert_eq!(report.input_coverage(ArgName::WriteCount).calls, 1);
+            assert_eq!(report.filter_stats.kept, 3);
+        }
     }
 
     #[test]
-    fn interim_report_merges_all_shards() {
-        let mut sharded = ParallelStreamingAnalyzer::new(TraceFilter::keep_all(), 3);
-        let events = multi_pid_trace(3, 1);
-        let total = events.len();
-        sharded.push_all(&events);
-        assert_eq!(sharded.report().filter_stats.total, total);
-    }
-
-    #[test]
-    fn parallel_metrics_snapshot_matches_serial_byte_for_byte() {
-        // The acceptance bar: counters from a 4-worker run must be
-        // *byte-identical* to a serial run over the same trace — large
-        // enough to clear PARALLEL_THRESHOLD so real threads race on the
-        // shared atomics.
+    fn metrics_snapshot_is_byte_identical_to_serial() {
+        // Large enough to clear PARALLEL_THRESHOLD, so real threads race
+        // on the shared atomics. The reference is a serial Analyzer's
+        // snapshot plus the batch-shape counters the session records on
+        // feed (per-event sums, so one whole-trace record matches any
+        // chunking).
         let events = multi_pid_trace(7, 40);
         assert!(events.len() >= PARALLEL_THRESHOLD);
-        let trace = Trace::from_events(events);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-
         let serial_metrics = Arc::new(PipelineMetrics::default());
-        let serial = Analyzer::new(filter.clone())
+        let _ = Analyzer::new(filter())
             .with_metrics(Arc::clone(&serial_metrics))
-            .analyze(&trace);
-
-        let parallel_metrics = Arc::new(PipelineMetrics::default());
-        let parallel = ParallelAnalyzer::new(filter, 4)
-            .with_metrics(Arc::clone(&parallel_metrics))
-            .analyze(&trace);
-
-        assert_eq!(serial, parallel);
-        let s = serial_metrics.snapshot();
-        let p = parallel_metrics.snapshot();
-        assert_eq!(s, p);
-        assert_eq!(
-            serde_json::to_string(&s).unwrap(),
-            serde_json::to_string(&p).unwrap(),
-            "metrics snapshots must be byte-identical"
-        );
-        assert!(s.events_read > 0 && s.total_dropped() > 0);
-    }
-
-    #[test]
-    fn shared_metrics_across_chunked_parallel_runs() {
-        // One metrics instance fed by a chunked sharded run still sums to
-        // the trace totals.
-        let events = multi_pid_trace(4, 3);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let metrics = Arc::new(PipelineMetrics::default());
-        let mut sharded =
-            ParallelStreamingAnalyzer::new(filter, 3).with_metrics(Arc::clone(&metrics));
-        for chunk in events.chunks(5) {
-            sharded.push_all(chunk);
-        }
-        let report = sharded.finish();
-        let snap = metrics.snapshot();
-        assert_eq!(snap.events_read, events.len() as u64);
-        // Filter-stage drops account for exactly the events not kept
-        // (unknown-syscall drops happen after the filter, inside kept).
-        assert_eq!(
-            snap.events_read
-                - snap.filter_dropped["wrong-mount"]
-                - snap.filter_dropped["irrelevant-fd"],
-            report.filter_stats.kept as u64
-        );
-        assert!(metrics.stage_timings().contains_key("analyze"));
-    }
-
-    #[test]
-    fn owned_batches_match_serial_at_every_worker_count() {
-        // The zero-copy hot path: chunks big enough to dispatch without
-        // coalescing, pushed as owned vectors.
-        let events = multi_pid_trace(7, 60);
-        assert!(events.len() >= 2 * PARALLEL_THRESHOLD);
-        let trace = Trace::from_events(events.clone());
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = serde_json::to_string(&Analyzer::new(filter.clone()).analyze(&trace)).unwrap();
-        for workers in 1..=4 {
-            let mut pool = ParallelStreamingAnalyzer::new(filter.clone(), workers);
-            for chunk in events.chunks(PARALLEL_THRESHOLD) {
-                pool.push_owned(chunk.to_vec());
+            .analyze(&Trace::from_events(events.clone()));
+        let whole = EventBatch::from_events(&events);
+        serial_metrics.record_batch(whole.len() as u64, whole.estimated_owned_allocs());
+        let reference = serde_json::to_string(&serial_metrics.snapshot()).unwrap();
+        // Chunks of 5 go through the coalescing buffer; threshold-sized
+        // ones are broadcast as they come.
+        for jobs in [1, 3, 4] {
+            for chunk in [5, PARALLEL_THRESHOLD] {
+                let metrics = Arc::new(PipelineMetrics::default());
+                let (report, _) = run(
+                    session(jobs, fast_policy(), None, Some(&metrics)),
+                    &events,
+                    chunk,
+                );
+                assert_eq!(serial(&events), serde_json::to_string(&report).unwrap());
+                let snap = metrics.snapshot();
+                assert_eq!(
+                    reference,
+                    serde_json::to_string(&snap).unwrap(),
+                    "metrics diverged at {jobs} workers, chunk {chunk}"
+                );
+                assert_eq!(snap.events_read, events.len() as u64);
+                assert!(snap.total_dropped() > 0);
+                // Filter-stage drops account for exactly the events not
+                // kept (unknown-syscall drops happen after the filter,
+                // inside kept).
+                assert_eq!(
+                    snap.events_read
+                        - snap.filter_dropped["wrong-mount"]
+                        - snap.filter_dropped["irrelevant-fd"],
+                    report.filter_stats.kept as u64
+                );
+                assert!(metrics.stage_timings().contains_key("analyze"));
             }
-            let report = serde_json::to_string(&pool.finish()).unwrap();
-            assert_eq!(serial, report, "diverged at {workers} workers");
         }
     }
 
     #[test]
-    fn mixed_owned_and_borrowed_pushes_match_serial() {
-        let events = multi_pid_trace(5, 8);
-        let trace = Trace::from_events(events.clone());
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = Analyzer::new(filter.clone()).analyze(&trace);
-        let mut pool = ParallelStreamingAnalyzer::new(filter, 3);
-        let (left, right) = events.split_at(events.len() / 2);
-        pool.push_all(left);
-        pool.push_owned(right.to_vec());
-        assert_eq!(serial, pool.finish());
-    }
-
-    #[test]
-    fn interim_report_then_more_batches_matches_serial() {
-        // A snapshot mid-stream must not disturb shard state: pushing
-        // more events afterwards still converges on the serial report.
+    fn injected_panic_recovers_byte_identical() {
+        // Panic on the second batch of shard 0: state replay (not just
+        // the failing batch) must reconstruct batch 0's contribution.
         let events = multi_pid_trace(7, 40);
-        let trace = Trace::from_events(events.clone());
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = Analyzer::new(filter.clone()).analyze(&trace);
-        let mut pool = ParallelStreamingAnalyzer::new(filter, 4);
-        let (left, right) = events.split_at(events.len() / 3);
-        pool.push_owned(left.to_vec());
-        let interim = pool.report();
-        assert_eq!(interim.filter_stats.total, left.len());
-        pool.push_owned(right.to_vec());
-        assert_eq!(serial, pool.finish());
-    }
-
-    #[test]
-    fn empty_pool_finishes_to_default_report() {
-        let pool = ParallelStreamingAnalyzer::new(TraceFilter::keep_all(), 4);
-        assert_eq!(pool.finish(), AnalysisReport::default());
-    }
-
-    #[test]
-    fn large_chunk_takes_threaded_path() {
-        // Enough events to clear PARALLEL_THRESHOLD, so the scoped-thread
-        // branch actually runs and must still match serial.
-        let events = multi_pid_trace(7, 40);
-        assert!(events.len() >= PARALLEL_THRESHOLD);
-        let trace = Trace::from_events(events);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = Analyzer::new(filter.clone()).analyze(&trace);
-        let parallel = ParallelAnalyzer::new(filter, 4).analyze(&trace);
-        assert_eq!(serial, parallel);
-    }
-
-    // ------------------------------------------------------------------
-    // Supervision
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn one_shot_injected_panic_recovers_byte_identical_serial_branch() {
-        // Small trace → the supervised serial branch runs on the calling
-        // thread; the panic must be caught there too.
-        let events = multi_pid_trace(5, 4);
-        assert!(events.len() < PARALLEL_THRESHOLD);
-        let trace = Trace::from_events(events);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = serde_json::to_string(&Analyzer::new(filter.clone()).analyze(&trace)).unwrap();
-        let analyzer = ParallelAnalyzer::new(filter, 3)
-            .with_policy(fast_policy())
-            .with_hook(panic_hook(1, 0, 1));
-        let (report, failures) = analyzer.analyze_with_failures(&trace);
-        assert_eq!(serial, serde_json::to_string(&report).unwrap());
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].shard, 1);
-        assert_eq!(failures[0].restarts, 1);
-        assert!(!failures[0].gave_up);
-        assert!(failures[0].last_error.contains("injected test panic"));
-    }
-
-    #[test]
-    fn one_shot_injected_panic_recovers_byte_identical_threaded_branch() {
-        let events = multi_pid_trace(7, 40);
-        assert!(events.len() >= PARALLEL_THRESHOLD);
-        let trace = Trace::from_events(events);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = serde_json::to_string(&Analyzer::new(filter.clone()).analyze(&trace)).unwrap();
-        let analyzer = ParallelAnalyzer::new(filter, 4)
-            .with_policy(fast_policy())
-            .with_hook(panic_hook(2, 0, 1));
-        let (report, failures) = analyzer.analyze_with_failures(&trace);
-        assert_eq!(serial, serde_json::to_string(&report).unwrap());
-        assert_eq!(failures.len(), 1);
-        assert!(!failures[0].gave_up);
-    }
-
-    #[test]
-    fn one_shot_exhausted_restarts_degrade_to_partial_report() {
-        let events = multi_pid_trace(4, 2);
-        let trace = Trace::from_events(events);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        // Shard 0 panics forever (far more charges than the budget).
-        let analyzer = ParallelAnalyzer::new(filter.clone(), 2)
-            .with_policy(fast_policy())
-            .with_hook(panic_hook(0, 0, u64::MAX));
-        let (report, failures) = analyzer.analyze_with_failures(&trace);
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].shard, 0);
-        assert_eq!(failures[0].restarts, fast_policy().max_restarts);
-        assert!(failures[0].gave_up);
-        // The surviving shard's pids are still fully analyzed.
-        let odd_only: Vec<_> = trace
-            .events()
-            .iter()
-            .filter(|e| e.pid % 2 == 1)
-            .cloned()
-            .collect();
-        let expected = Analyzer::new(filter).analyze(&Trace::from_events(odd_only));
-        assert_eq!(report, expected);
-    }
-
-    #[test]
-    fn pool_injected_panic_recovers_byte_identical() {
-        let events = multi_pid_trace(7, 40);
-        let trace = Trace::from_events(events.clone());
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = serde_json::to_string(&Analyzer::new(filter.clone()).analyze(&trace)).unwrap();
-        // Panic on the second batch of shard 1: state replay (not just
-        // the failing batch) must reconstruct batch 1's contribution.
-        let mut pool = ParallelStreamingAnalyzer::new(filter, 3)
-            .with_policy(fast_policy())
-            .with_hook(panic_hook(1, 1, 1));
-        for chunk in events.chunks(PARALLEL_THRESHOLD) {
-            pool.push_owned(chunk.to_vec());
+        let expected = serial(&events);
+        for jobs in [1, 3] {
+            let hook = panic_hook(0, 1, 1);
+            let (report, failures) = run(
+                session(jobs, fast_policy(), Some(hook), None),
+                &events,
+                PARALLEL_THRESHOLD,
+            );
+            assert_eq!(expected, serde_json::to_string(&report).unwrap());
+            assert_eq!(failures.len(), 1, "jobs {jobs}");
+            assert_eq!(failures[0].shard, 0);
+            assert_eq!(failures[0].restarts, 1);
+            assert!(!failures[0].gave_up);
+            assert!(failures[0].last_error.contains("injected test panic"));
         }
-        let (report, failures) = pool.finish_with_failures();
-        assert_eq!(serial, serde_json::to_string(&report).unwrap());
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].shard, 1);
-        assert!(!failures[0].gave_up);
     }
 
     #[test]
-    fn pool_metrics_not_double_counted_across_restart() {
+    fn metrics_not_double_counted_across_restart() {
         let events = multi_pid_trace(6, 40);
-        let trace = Trace::from_events(events.clone());
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-
-        let clean_metrics = Arc::new(PipelineMetrics::default());
-        let clean = Analyzer::new(filter.clone())
-            .with_metrics(Arc::clone(&clean_metrics))
-            .analyze(&trace);
-
-        let metrics = Arc::new(PipelineMetrics::default());
-        let mut pool = ParallelStreamingAnalyzer::new(filter, 2)
-            .with_metrics(Arc::clone(&metrics))
-            .with_policy(fast_policy())
-            .with_hook(panic_hook(0, 1, 1));
-        for chunk in events.chunks(PARALLEL_THRESHOLD) {
-            pool.push_owned(chunk.to_vec());
+        let reference = Arc::new(PipelineMetrics::default());
+        let _ = run(
+            session(1, fast_policy(), None, Some(&reference)),
+            &events,
+            PARALLEL_THRESHOLD,
+        );
+        for jobs in [1, 2] {
+            let metrics = Arc::new(PipelineMetrics::default());
+            let hook = panic_hook(0, 1, 1);
+            let _ = run(
+                session(jobs, fast_policy(), Some(hook), Some(&metrics)),
+                &events,
+                PARALLEL_THRESHOLD,
+            );
+            let snap = metrics.snapshot();
+            let clean = reference.snapshot();
+            // The restarted shard replays its events, but only the
+            // successful incarnation's counters are absorbed.
+            assert_eq!(snap.events_read, clean.events_read);
+            assert_eq!(snap.filter_dropped, clean.filter_dropped);
+            assert_eq!(snap.partition_records, clean.partition_records);
+            // And the recovery itself is accounted, once.
+            assert_eq!(snap.shard_restarts, 1);
+            assert_eq!(snap.shard_failures.len(), 1);
+            assert!(!snap.shard_failures[0].gave_up);
         }
-        let report = pool.finish();
-        assert_eq!(clean, report);
-        let snap = metrics.snapshot();
-        let clean_snap = clean_metrics.snapshot();
-        // Restarted shard replays its events, but only the successful
-        // incarnation's counters are absorbed: totals match a clean run.
-        assert_eq!(snap.events_read, clean_snap.events_read);
-        assert_eq!(snap.filter_dropped, clean_snap.filter_dropped);
-        assert_eq!(snap.partition_records, clean_snap.partition_records);
-        // And the recovery itself is accounted.
-        assert_eq!(snap.shard_restarts, 1);
-        assert_eq!(snap.shard_failures.len(), 1);
-        assert!(!snap.shard_failures[0].gave_up);
     }
 
     #[test]
-    fn pool_exhausted_restarts_degrade_to_partial_report() {
+    fn exhausted_restarts_degrade_to_partial_report() {
         let events = multi_pid_trace(4, 8);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let mut pool = ParallelStreamingAnalyzer::new(filter.clone(), 2)
-            .with_policy(fast_policy())
-            .with_hook(panic_hook(1, 0, u64::MAX));
-        pool.push_owned(events.clone());
-        let (report, failures) = pool.finish_with_failures();
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].gave_up);
-        assert_eq!(failures[0].restarts, fast_policy().max_restarts);
-        let even_only: Vec<_> = events.iter().filter(|e| e.pid % 2 == 0).cloned().collect();
-        let expected = Analyzer::new(filter).analyze(&Trace::from_events(even_only));
-        assert_eq!(report, expected);
-    }
-
-    #[test]
-    fn pool_stall_watchdog_replays_stalled_shard() {
-        let events = multi_pid_trace(6, 20);
-        let trace = Trace::from_events(events.clone());
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = serde_json::to_string(&Analyzer::new(filter.clone()).analyze(&trace)).unwrap();
-        // Shard 0 freezes for 5s on its first batch; the 50ms watchdog
-        // must abandon and replay it rather than wait.
-        let stalled = Arc::new(AtomicU64::new(0));
-        let flag = Arc::clone(&stalled);
-        let hook: ShardHook = Arc::new(move |w, t| {
-            if w == 0 && t == 0 && flag.fetch_add(1, Ordering::SeqCst) == 0 {
-                std::thread::sleep(Duration::from_secs(5));
+        for jobs in [1, 2] {
+            let failed = jobs - 1;
+            let metrics = Arc::new(PipelineMetrics::default());
+            let hook = panic_hook(failed, 0, u64::MAX);
+            let (report, failures) = run(
+                session(jobs, fast_policy(), Some(hook), Some(&metrics)),
+                &events,
+                events.len(),
+            );
+            assert_eq!(failures.len(), 1);
+            assert_eq!(failures[0].shard, failed);
+            assert!(failures[0].gave_up);
+            assert_eq!(failures[0].restarts, fast_policy().max_restarts);
+            // The surviving shards' pids are still fully analyzed.
+            assert_eq!(
+                serial_without_shard(&events, jobs, failed),
+                serde_json::to_string(&report).unwrap()
+            );
+            let snap = metrics.snapshot();
+            assert_eq!(snap.shard_restarts, u64::from(fast_policy().max_restarts));
+            assert_eq!(snap.shard_failures.len(), 1);
+            if jobs == 1 {
+                // No half-counted incarnation leaked into the counters.
+                assert_eq!(snap.events_read, 0);
             }
-        });
-        let policy = fast_policy().with_shard_timeout(Duration::from_millis(50));
-        let started = Instant::now();
-        let mut pool = ParallelStreamingAnalyzer::new(filter, 2)
-            .with_policy(policy)
-            .with_hook(hook);
-        pool.push_owned(events);
-        let (report, failures) = pool.finish_with_failures();
-        assert!(
-            started.elapsed() < Duration::from_secs(4),
-            "watchdog must not wait out the stall"
-        );
-        assert_eq!(serial, serde_json::to_string(&report).unwrap());
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].shard, 0);
-        assert!(!failures[0].gave_up);
-        assert!(
-            failures[0].last_error.contains("stalled"),
-            "{}",
-            failures[0].last_error
-        );
+        }
     }
 
     #[test]
-    fn interim_report_after_injected_panic_recovers() {
-        let events = multi_pid_trace(5, 30);
-        let trace = Trace::from_events(events.clone());
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = Analyzer::new(filter.clone()).analyze(&trace);
-        let mut pool = ParallelStreamingAnalyzer::new(filter, 2)
-            .with_policy(fast_policy())
-            .with_hook(panic_hook(0, 0, 1));
-        pool.push_owned(events);
-        let interim = pool.report();
-        assert_eq!(interim.filter_stats.total, serial.filter_stats.total);
-        assert_eq!(serial, pool.finish());
+    fn restart_budget_spans_checkpoint_cuts() {
+        // Cutting after every batch drains and respawns the pool; the
+        // supervision ledger must survive, so the budget bounds the
+        // whole run and the abandoned shard never comes back — even
+        // when the fault schedule runs dry after it gave up.
+        let budget = fast_policy().max_restarts;
+        let events = multi_pid_trace(4, 8);
+        for times in [u64::MAX, u64::from(budget) + 2] {
+            for jobs in [1, 2, 4] {
+                let metrics = Arc::new(PipelineMetrics::default());
+                let hook = panic_hook(0, 0, times);
+                let mut session = session(jobs, fast_policy(), Some(hook), Some(&metrics));
+                for part in events.chunks(10) {
+                    session.feed_owned(part.to_vec());
+                    let _ = session.cut();
+                }
+                let (report, failures) = session.finish();
+                assert_eq!(failures.len(), 1, "jobs {jobs}, times {times}");
+                assert_eq!(failures[0].shard, 0);
+                assert!(failures[0].gave_up);
+                assert_eq!(failures[0].restarts, budget);
+                assert_eq!(
+                    serial_without_shard(&events, jobs, 0),
+                    serde_json::to_string(&report).unwrap(),
+                    "jobs {jobs}, times {times}"
+                );
+                let snap = metrics.snapshot();
+                assert_eq!(snap.shard_restarts, u64::from(budget));
+                assert_eq!(snap.shard_failures, failures);
+            }
+        }
+    }
+
+    #[test]
+    fn stall_watchdog_replays_stalled_shard() {
+        let events = multi_pid_trace(6, 20);
+        let expected = serial(&events);
+        for jobs in [1, 2] {
+            // Shard 0 freezes for 5s on its first batch; the 50ms
+            // watchdog must abandon and replay it rather than wait.
+            let stalled = Arc::new(AtomicU64::new(0));
+            let hook: ShardHook = Arc::new(move |w, t| {
+                if w == 0 && t == 0 && stalled.fetch_add(1, Ordering::SeqCst) == 0 {
+                    std::thread::sleep(Duration::from_secs(5));
+                }
+            });
+            let policy = fast_policy().with_shard_timeout(Duration::from_millis(50));
+            let started = Instant::now();
+            let (report, failures) = run(
+                session(jobs, policy, Some(hook), None),
+                &events,
+                events.len(),
+            );
+            assert!(
+                started.elapsed() < Duration::from_secs(4),
+                "watchdog must not wait out the stall"
+            );
+            assert_eq!(expected, serde_json::to_string(&report).unwrap());
+            assert_eq!(failures.len(), 1);
+            assert_eq!(failures[0].shard, 0);
+            assert!(!failures[0].gave_up);
+            assert!(
+                failures[0].last_error.contains("stalled"),
+                "{}",
+                failures[0].last_error
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_after_injected_panic_then_more_batches_matches_serial() {
+        // A mid-stream snapshot cuts the pool; a panic before it is
+        // replayed, and feeding more afterwards still converges on the
+        // serial report.
+        let events = multi_pid_trace(7, 40);
+        let (left, right) = events.split_at(events.len() / 3);
+        let expected = serial(&events);
+        for jobs in [1, 4] {
+            let hook = panic_hook(0, 0, 1);
+            let mut session = session(jobs, fast_policy(), Some(hook), None);
+            session.feed_owned(left.to_vec());
+            assert_eq!(session.snapshot().filter_stats.total, left.len());
+            session.feed_owned(right.to_vec());
+            let (report, failures) = session.finish();
+            assert_eq!(expected, serde_json::to_string(&report).unwrap());
+            assert_eq!(failures.len(), 1);
+            assert!(!failures[0].gave_up);
+        }
     }
 }

@@ -3,8 +3,7 @@
 use iocov::tcd::tcd;
 use iocov::{
     arg_domain, normalize, open_flags_present, Analyzer, ArgName, InputPartition, NumericPartition,
-    OutputPartition, ParallelAnalyzer, ParallelStreamingAnalyzer, StreamingAnalyzer, TraceFilter,
-    TrackedValue,
+    OutputPartition, PipelineBuilder, StreamingAnalyzer, TraceFilter, TrackedValue,
 };
 use iocov_trace::{ArgValue, Trace, TraceEvent};
 use proptest::prelude::*;
@@ -246,9 +245,10 @@ proptest! {
         prop_assert_eq!(stats2.dropped, 0);
     }
 
-    /// Serial batch, streaming under arbitrary chunking, and pid-sharded
-    /// parallel analysis at 1–8 workers produce the identical report on
-    /// multi-pid traces full of dup/rename/chdir interleavings.
+    /// Serial batch, streaming under arbitrary chunking, and the
+    /// session's pid-sharded pool at 1–8 workers under the same chunking
+    /// produce the identical report on multi-pid traces full of
+    /// dup/rename/chdir interleavings.
     #[test]
     fn serial_streaming_parallel_reports_agree(
         events in proptest::collection::vec(arb_provenance_event(), 0..120),
@@ -265,14 +265,13 @@ proptest! {
         }
         prop_assert_eq!(&serial, &streaming.finish());
 
-        let parallel = ParallelAnalyzer::new(filter.clone(), workers).analyze(&trace);
-        prop_assert_eq!(&serial, &parallel);
-
-        let mut sharded = ParallelStreamingAnalyzer::new(filter, workers);
+        let mut session = PipelineBuilder::new(filter).jobs(workers).build_session();
         for part in events.chunks(chunk) {
-            sharded.push_all(part);
+            session.feed_owned(part.to_vec());
         }
-        prop_assert_eq!(serial, sharded.finish());
+        let (sharded, failures) = session.finish();
+        prop_assert!(failures.is_empty());
+        prop_assert_eq!(serial, sharded);
     }
 
     /// Normalization preserves the return value and maps every event of a

@@ -369,7 +369,7 @@ impl Kernel {
     pub fn readv(&mut self, fd: i32, iov_lens: &[u64]) -> RawRet {
         let pid = self.current;
         let total: u64 = iov_lens.iter().sum();
-        let result = self.vfs.readv(pid, fd, iov_lens).map(|d| d.len() as i64);
+        let result = self.vfs.readv_len(pid, fd, iov_lens).map(|n| n as i64);
         let ret = self.override_ret_sized("readv", None, Some(total), raw(result));
         self.trace(
             Sysno::Readv,

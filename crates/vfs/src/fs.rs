@@ -783,4 +783,42 @@ mod tests {
         fs.crash();
         assert_eq!(fs.stats().used_bytes, 100, "unsynced /b is gone");
     }
+
+    #[test]
+    fn readv_len_agrees_with_readv() {
+        // Two file systems driven through the same calls, one reading
+        // the bytes and one only their count: every observable effect
+        // (return value, offset, atime, bytes_read) must match.
+        let setup = || {
+            let mut fs = Vfs::new();
+            let pid = fs.default_pid();
+            let fd = fs
+                .open(
+                    pid,
+                    "/f",
+                    OpenFlags::O_CREAT | OpenFlags::O_RDWR,
+                    Mode::from_bits(0o644),
+                )
+                .unwrap();
+            fs.write(pid, fd, &[7u8; 5000]).unwrap();
+            fs.lseek(pid, fd, 0, crate::flags::Whence::Set).unwrap();
+            (fs, pid, fd)
+        };
+        let (mut full, pid, fd) = setup();
+        let (mut lean, _, _) = setup();
+        let too_many = vec![1u64; 1025];
+        let calls: [&[u64]; 5] = [&[100, 200], &[4096, 4096], &[], &[10], &too_many];
+        for iov in calls {
+            let kept = full.readv(pid, fd, iov).map(|data| data.len() as u64);
+            assert_eq!(kept, lean.readv_len(pid, fd, iov), "{} iovecs", iov.len());
+            let offset = |fs: &mut Vfs| fs.lseek(pid, fd, 0, crate::flags::Whence::Cur);
+            assert_eq!(offset(&mut full), offset(&mut lean));
+            let atime = |fs: &mut Vfs| fs.fstat(pid, fd).map(|m| m.times.atime);
+            assert_eq!(atime(&mut full), atime(&mut lean));
+            assert_eq!(full.stats().bytes_read, lean.stats().bytes_read);
+        }
+        assert_eq!(lean.readv_len(pid, fd, &too_many), Err(Errno::EINVAL));
+        assert_eq!(lean.readv_len(pid, fd + 1, &[1]), Err(Errno::EBADF));
+        assert_eq!(full.stats().bytes_read, 5000);
+    }
 }

@@ -564,6 +564,28 @@ impl Vfs {
     /// As [`read`](Self::read), plus `EINVAL` when `iov_lens` exceeds
     /// `IOV_MAX` (1024).
     pub fn readv(&mut self, pid: Pid, fd: i32, iov_lens: &[u64]) -> VfsResult<Vec<u8>> {
+        self.readv_impl(pid, fd, iov_lens, true)
+            .map(|(_, data)| data)
+    }
+
+    /// [`readv`](Self::readv) returning only the byte count, like
+    /// [`read_len`](Self::read_len).
+    ///
+    /// # Errors
+    ///
+    /// As [`readv`](Self::readv).
+    pub fn readv_len(&mut self, pid: Pid, fd: i32, iov_lens: &[u64]) -> VfsResult<u64> {
+        self.readv_impl(pid, fd, iov_lens, false)
+            .map(|(len, _)| len)
+    }
+
+    fn readv_impl(
+        &mut self,
+        pid: Pid,
+        fd: i32,
+        iov_lens: &[u64],
+        keep: bool,
+    ) -> VfsResult<(u64, Vec<u8>)> {
         if self
             .cov
             .branch("vfs::read/einval_iov", iov_lens.len() > 1024)
@@ -571,8 +593,7 @@ impl Vfs {
             return Err(Errno::EINVAL);
         }
         let total: u64 = iov_lens.iter().sum();
-        self.read_impl(pid, fd, total, None, "readv", true)
-            .map(|(_, data)| data)
+        self.read_impl(pid, fd, total, None, "readv", keep)
     }
 
     /// The read family's one implementation: the byte count read and,

@@ -21,14 +21,16 @@
 //!    pipeline, merge into the cumulative report, and re-measure the
 //!    campaign TCD ([`iocov::campaign_tcd`]). Analysis is the second
 //!    stage of a two-stage round: each round opens one
-//!    [`AnalysisSession`] over a one-worker supervised
-//!    [`PoolExecutor`], and the generator hands the recorder's batch to
-//!    it every [`DEFAULT_CHUNK`] events (and once more at the end of the
-//!    round), so filtering and accumulation run on a second core while
-//!    the kernel keeps executing. The hand-off is a swap: the recorder's
-//!    columnar [`EventBatch`](iocov_trace::EventBatch) goes to the
-//!    worker as recorded and the recorder continues into an empty one,
-//!    so no event is materialized or re-packed on the way. One session
+//!    [`AnalysisSession`] with a single supervised worker
+//!    ([`PipelineBuilder::build_session`] at one job, the same pool
+//!    `analyze --jobs N` runs at N), and the generator hands the
+//!    recorder's batch to it every [`DEFAULT_CHUNK`] events (and once
+//!    more at the end of the round), so filtering and accumulation run
+//!    on a second core while the kernel keeps executing. The hand-off
+//!    is a swap: the recorder's columnar
+//!    [`EventBatch`](iocov_trace::EventBatch) goes to the worker as
+//!    recorded and the recorder continues into an empty one, so no
+//!    event is materialized or re-packed on the way. One session
 //!    per round keeps relevance state (descriptor provenance) from
 //!    crossing a round boundary, exactly like analyzing each round's
 //!    trace on its own. A worker that panics is restarted and replays
@@ -49,16 +51,15 @@ use rand::{RngExt, SeedableRng};
 
 use iocov::{
     campaign_tcd, extract_cold, AnalysisReport, AnalysisSession, ArgName, BaseSyscall, ColdReport,
-    InputPartition, NumericPartition, PoolExecutor, ShardFailureRecord, ShardHook,
-    SupervisorPolicy, TraceFilter, DEFAULT_CHUNK, INVALID_CATEGORY, MODE_BITS, WHENCE_VALUES,
-    XATTR_FLAG_BITS,
+    InputPartition, NumericPartition, PipelineBuilder, ShardFailureRecord, ShardHook, TraceFilter,
+    DEFAULT_CHUNK, INVALID_CATEGORY, MODE_BITS, WHENCE_VALUES, XATTR_FLAG_BITS,
 };
 use iocov_syscalls::precond::{self, FdSpec, Probe, ProbeCall};
 use iocov_syscalls::{Kernel, RawRet};
 use iocov_vfs::{Pid, VfsConfig};
 
 use crate::env::{TestEnv, MOUNT};
-use crate::profile::{OpenProfile, SizeProfile, SuiteProfile};
+use crate::profile::{FlagWeight, OpenProfile, SizeProfile, SuiteProfile};
 use crate::sampler::{sample_open_flags, sample_size_with, size_weights, weighted_index};
 
 /// The unprivileged helper process [`TestEnv::fresh_kernel`] spawns;
@@ -186,8 +187,8 @@ impl fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-/// The analysis stage of one round: a fresh session over a one-worker
-/// supervised pool, fed from the shared recorder while the round runs.
+/// The analysis stage of one round: a fresh one-worker session, fed
+/// from the shared recorder while the round runs.
 struct RoundAnalysis<'e> {
     env: &'e TestEnv,
     session: AnalysisSession,
@@ -195,17 +196,13 @@ struct RoundAnalysis<'e> {
 
 impl<'e> RoundAnalysis<'e> {
     fn new(env: &'e TestEnv, filter: &TraceFilter, hook: Option<ShardHook>) -> Self {
-        let executor = PoolExecutor::new(
-            filter.clone(),
-            1,
-            None,
-            SupervisorPolicy::default(),
-            hook,
-            None,
-        );
+        let mut builder = PipelineBuilder::new(filter.clone());
+        if let Some(hook) = hook {
+            builder = builder.hook(hook);
+        }
         RoundAnalysis {
             env,
-            session: AnalysisSession::new(Box::new(executor), None, None, None, 0),
+            session: builder.build_session(),
         }
     }
 
@@ -817,10 +814,10 @@ impl Bias {
             flag_deficit(ArgName::OpenFlags, "O_WRONLY") + EPS,
             flag_deficit(ArgName::OpenFlags, "O_RDWR") + EPS,
         ];
-        let optional: Vec<(&'static str, f64)> = iocov::open_flag_names()
+        let optional: Vec<FlagWeight> = iocov::open_flag_names()
             .into_iter()
             .filter(|n| !matches!(*n, "O_RDONLY" | "O_WRONLY" | "O_RDWR" | "O_ACCMODE"))
-            .map(|n| (n, flag_deficit(ArgName::OpenFlags, n) + EPS))
+            .map(|n| FlagWeight::new(n, flag_deficit(ArgName::OpenFlags, n) + EPS))
             .collect();
         let open = OpenProfile {
             accmode_weights,
@@ -1123,7 +1120,8 @@ fn pick_path(rng: &mut StdRng, round: usize) -> String {
 mod tests {
     use super::*;
     use crate::fuzzer::SyzFuzzerSim;
-    use crate::profile::xfstests_profile;
+    use crate::profile::{crashmonkey_profile, xfstests_profile};
+    use crate::sampler::sample_open_flags;
     use iocov::syzlang::parse_to_trace;
     use iocov::Iocov;
 
@@ -1344,6 +1342,34 @@ mod tests {
             table[weighted_index(rng, &weights)].0
         }
 
+        pub(super) fn sample_open_flags(rng: &mut StdRng, profile: &OpenProfile) -> u32 {
+            let accmode = match weighted_index(rng, &profile.accmode_weights) {
+                0 => 0u32, // O_RDONLY
+                1 => 1,    // O_WRONLY
+                _ => 2,    // O_RDWR
+            };
+            let combo_size = weighted_index(rng, &profile.combo_size_pct) + 1;
+            let mut flags = accmode;
+            let mut weights: Vec<f64> = profile.flag_weights.iter().map(|f| f.weight).collect();
+            let bits_of = |name: &str| -> u32 {
+                iocov_syscalls::OpenFlags::NAMED_FLAGS
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .map(|(_, f)| f.bits())
+                    .unwrap_or(0)
+            };
+            for _ in 1..combo_size {
+                if weights.iter().all(|w| *w <= 0.0) {
+                    break;
+                }
+                let idx = weighted_index(rng, &weights);
+                let name = profile.flag_weights[idx].name;
+                flags |= bits_of(name);
+                weights[idx] = 0.0; // distinct flags per combo
+            }
+            flags
+        }
+
         pub(super) fn sample_size(rng: &mut StdRng, profile: &SizeProfile) -> u64 {
             let mut weights = Vec::with_capacity(profile.bucket_weights.len() + 1);
             weights.push(profile.zero_weight);
@@ -1424,6 +1450,16 @@ mod tests {
                         bias.sample_whence(&mut new),
                         per_draw::sample_whence(&mut old, &whence)
                     );
+                    assert_eq!(
+                        sample_open_flags(&mut new, &bias.open),
+                        per_draw::sample_open_flags(&mut old, &bias.open)
+                    );
+                    for suite in [xfstests_profile(), crashmonkey_profile()] {
+                        assert_eq!(
+                            sample_open_flags(&mut new, &suite.open),
+                            per_draw::sample_open_flags(&mut old, &suite.open)
+                        );
+                    }
                     for size in [&bias.write_size, &bias.read_size, &bias.xattr_size] {
                         assert_eq!(
                             size.sample(&mut new),
@@ -1563,7 +1599,7 @@ mod tests {
     #[test]
     fn exhausted_round_worker_fails_the_campaign() {
         // One more panic than the default restart budget allows.
-        let budget = SupervisorPolicy::default().max_restarts;
+        let budget = iocov::SupervisorPolicy::default().max_restarts;
         let schedule = iocov_faults::PanicSchedule::times(0, 1, budget + 1);
         let err = chunked_campaign(Some(schedule.hook())).unwrap_err();
         assert_eq!(err.round, 0);

@@ -11,9 +11,57 @@
 
 use std::borrow::Cow;
 
+use iocov_syscalls::OpenFlags;
+
 /// Relative weight of one optional open flag (zero = never used by the
 /// suite; the paper's "some flags are not tested at all").
-pub type FlagWeight = (&'static str, f64);
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FlagWeight {
+    /// The flag's name in [`OpenFlags::NAMED_FLAGS`].
+    pub name: &'static str,
+    /// The flag's `open(2)` bits, resolved from `name` when the profile
+    /// is built, so a draw looks nothing up.
+    pub bits: u32,
+    /// Relative draw weight.
+    pub weight: f64,
+}
+
+impl FlagWeight {
+    /// The weight of the named flag. Panics on a name
+    /// [`OpenFlags::NAMED_FLAGS`] does not list (at compile time in a
+    /// `static` table).
+    #[must_use]
+    pub const fn new(name: &'static str, weight: f64) -> Self {
+        let mut i = 0;
+        while i < OpenFlags::NAMED_FLAGS.len() {
+            let (known, flag) = OpenFlags::NAMED_FLAGS[i];
+            if same_name(known.as_bytes(), name.as_bytes()) {
+                return FlagWeight {
+                    name,
+                    bits: flag.bits(),
+                    weight,
+                };
+            }
+            i += 1;
+        }
+        panic!("not a named open flag");
+    }
+}
+
+/// Byte-wise string equality usable in a `const fn`.
+const fn same_name(a: &[u8], b: &[u8]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
 
 /// The open-flag sampling profile of one suite.
 ///
@@ -61,23 +109,23 @@ pub struct SuiteProfile {
 /// O_NOCTTY, O_ASYNC, O_LARGEFILE, and O_TMPFILE remain untested (the
 /// paper points at O_LARGEFILE bugs living in such gaps).
 static XFSTESTS_FLAGS: [FlagWeight; 17] = [
-    ("O_CREAT", 30.0),
-    ("O_CLOEXEC", 20.0),
-    ("O_TRUNC", 12.0),
-    ("O_DIRECTORY", 9.0),
-    ("O_EXCL", 5.0),
-    ("O_NOFOLLOW", 3.0),
-    ("O_APPEND", 2.2),
-    ("O_NONBLOCK", 1.8),
-    ("O_DIRECT", 1.2),
-    ("O_SYNC", 0.7),
-    ("O_DSYNC", 0.25),
-    ("O_NOATIME", 0.12),
-    ("O_PATH", 0.08),
-    ("O_NOCTTY", 0.0),
-    ("O_ASYNC", 0.0),
-    ("O_LARGEFILE", 0.0),
-    ("O_TMPFILE", 0.0),
+    FlagWeight::new("O_CREAT", 30.0),
+    FlagWeight::new("O_CLOEXEC", 20.0),
+    FlagWeight::new("O_TRUNC", 12.0),
+    FlagWeight::new("O_DIRECTORY", 9.0),
+    FlagWeight::new("O_EXCL", 5.0),
+    FlagWeight::new("O_NOFOLLOW", 3.0),
+    FlagWeight::new("O_APPEND", 2.2),
+    FlagWeight::new("O_NONBLOCK", 1.8),
+    FlagWeight::new("O_DIRECT", 1.2),
+    FlagWeight::new("O_SYNC", 0.7),
+    FlagWeight::new("O_DSYNC", 0.25),
+    FlagWeight::new("O_NOATIME", 0.12),
+    FlagWeight::new("O_PATH", 0.08),
+    FlagWeight::new("O_NOCTTY", 0.0),
+    FlagWeight::new("O_ASYNC", 0.0),
+    FlagWeight::new("O_LARGEFILE", 0.0),
+    FlagWeight::new("O_TMPFILE", 0.0),
 ];
 
 /// CrashMonkey optional-flag weights: a crash-consistency tester leans
@@ -85,23 +133,23 @@ static XFSTESTS_FLAGS: [FlagWeight; 17] = [
 /// long tail. Strict subset of the xfstests flag set, so xfstests beats
 /// it on every flag (Figure 2).
 static CRASHMONKEY_FLAGS: [FlagWeight; 17] = [
-    ("O_CREAT", 40.0),
-    ("O_TRUNC", 15.0),
-    ("O_DIRECTORY", 12.0),
-    ("O_SYNC", 8.0),
-    ("O_APPEND", 6.0),
-    ("O_DSYNC", 4.0),
-    ("O_CLOEXEC", 2.0),
-    ("O_NOFOLLOW", 1.0),
-    ("O_EXCL", 0.0),
-    ("O_NONBLOCK", 0.0),
-    ("O_DIRECT", 0.0),
-    ("O_NOATIME", 0.0),
-    ("O_PATH", 0.0),
-    ("O_NOCTTY", 0.0),
-    ("O_ASYNC", 0.0),
-    ("O_LARGEFILE", 0.0),
-    ("O_TMPFILE", 0.0),
+    FlagWeight::new("O_CREAT", 40.0),
+    FlagWeight::new("O_TRUNC", 15.0),
+    FlagWeight::new("O_DIRECTORY", 12.0),
+    FlagWeight::new("O_SYNC", 8.0),
+    FlagWeight::new("O_APPEND", 6.0),
+    FlagWeight::new("O_DSYNC", 4.0),
+    FlagWeight::new("O_CLOEXEC", 2.0),
+    FlagWeight::new("O_NOFOLLOW", 1.0),
+    FlagWeight::new("O_EXCL", 0.0),
+    FlagWeight::new("O_NONBLOCK", 0.0),
+    FlagWeight::new("O_DIRECT", 0.0),
+    FlagWeight::new("O_NOATIME", 0.0),
+    FlagWeight::new("O_PATH", 0.0),
+    FlagWeight::new("O_NOCTTY", 0.0),
+    FlagWeight::new("O_ASYNC", 0.0),
+    FlagWeight::new("O_LARGEFILE", 0.0),
+    FlagWeight::new("O_TMPFILE", 0.0),
 ];
 
 /// xfstests write sizes: every bucket up to 2^28 (258 MiB maximum, per
@@ -270,16 +318,19 @@ mod tests {
     fn crashmonkey_flags_are_a_subset_of_xfstests() {
         let xfs = xfstests_profile();
         let cm = crashmonkey_profile();
-        for (flag, weight) in cm.open.flag_weights.iter() {
-            if *weight > 0.0 {
+        for flag in cm.open.flag_weights.iter() {
+            if flag.weight > 0.0 {
                 let xw = xfs
                     .open
                     .flag_weights
                     .iter()
-                    .find(|(n, _)| n == flag)
-                    .map(|(_, w)| *w)
-                    .unwrap_or(0.0);
-                assert!(xw > 0.0, "{flag} used by CM must be used by xfstests");
+                    .find(|f| f.name == flag.name)
+                    .map_or(0.0, |f| f.weight);
+                assert!(
+                    xw > 0.0,
+                    "{} used by CM must be used by xfstests",
+                    flag.name
+                );
             }
         }
     }
@@ -291,7 +342,7 @@ mod tests {
                 .open
                 .flag_weights
                 .iter()
-                .filter(|(_, w)| *w == 0.0)
+                .filter(|f| f.weight == 0.0)
                 .count();
             assert!(untested >= 4, "{}", profile.name);
         }

@@ -1,5 +1,6 @@
 //! Weighted sampling of syscall arguments from suite profiles.
 
+use iocov_syscalls::OpenFlags;
 use rand::RngExt;
 
 use crate::profile::{OpenProfile, SizeProfile};
@@ -21,7 +22,10 @@ pub fn weighted_index<R: rand::Rng>(rng: &mut R, weights: &[f64]) -> usize {
 }
 
 /// Samples an `open(2)` flags word from a profile: an access mode plus
-/// `combo_size − 1` distinct optional flags.
+/// `combo_size − 1` distinct optional flags. Allocates nothing: the
+/// flags' bits were resolved when the profile was built, and the draw
+/// weights live on the stack (a profile lists each named flag at most
+/// once).
 pub fn sample_open_flags<R: rand::Rng>(rng: &mut R, profile: &OpenProfile) -> u32 {
     let accmode = match weighted_index(rng, &profile.accmode_weights) {
         0 => 0u32, // O_RDONLY
@@ -30,21 +34,17 @@ pub fn sample_open_flags<R: rand::Rng>(rng: &mut R, profile: &OpenProfile) -> u3
     };
     let combo_size = weighted_index(rng, &profile.combo_size_pct) + 1;
     let mut flags = accmode;
-    let mut weights: Vec<f64> = profile.flag_weights.iter().map(|(_, w)| *w).collect();
-    let bits_of = |name: &str| -> u32 {
-        iocov_syscalls::OpenFlags::NAMED_FLAGS
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, f)| f.bits())
-            .unwrap_or(0)
-    };
+    let mut buf = [0.0f64; OpenFlags::NAMED_FLAGS.len()];
+    let weights = &mut buf[..profile.flag_weights.len()];
+    for (w, flag) in weights.iter_mut().zip(profile.flag_weights.iter()) {
+        *w = flag.weight;
+    }
     for _ in 1..combo_size {
         if weights.iter().all(|w| *w <= 0.0) {
             break;
         }
-        let idx = weighted_index(rng, &weights);
-        let (name, _) = profile.flag_weights[idx];
-        flags |= bits_of(name);
+        let idx = weighted_index(rng, weights);
+        flags |= profile.flag_weights[idx].bits;
         weights[idx] = 0.0; // distinct flags per combo
     }
     flags
